@@ -95,9 +95,11 @@ struct MachineConfig
     unsigned rasDepth = 16;
 
     /**
-     * Use the O(window) scan engine instead of the event-driven one.
-     * Semantically identical and much slower; exists so the test
-     * suite can differentially validate the event-driven engine.
+     * Use the O(window)-per-cycle scan engine instead of the
+     * wake-list one.  Semantically identical and much slower; it is
+     * the independent oracle the tests and bench_sched check the
+     * production engine against.  LimitScheduler::run() honours it;
+     * batched groups reject it.
      */
     bool naiveEngine = false;
 

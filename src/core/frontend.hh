@@ -50,6 +50,7 @@
 #ifndef DDSC_CORE_FRONTEND_HH
 #define DDSC_CORE_FRONTEND_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <unordered_map>
@@ -68,6 +69,9 @@
 
 namespace ddsc
 {
+
+/** Default records per streamed chunk (FrontEndBatch capacity). */
+constexpr std::size_t kBatchedChunk = 16384;
 
 /**
  * One structure-of-arrays chunk of annotated records.  Arrays are

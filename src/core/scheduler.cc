@@ -126,11 +126,11 @@ LimitScheduler::growRetired()
 }
 
 void
-LimitScheduler::BoundWheel::clear()
+LimitScheduler::WakeWheel::clear()
 {
     for (std::vector<std::uint64_t> &bucket : buckets)
         bucket.clear();     // keeps capacity for the next run
-    far = BoundHeap();
+    far = DueHeap();
 }
 
 // --- exact satisfaction checks ----------------------------------------
@@ -200,109 +200,17 @@ LimitScheduler::addrArcsSatisfied(const Entry &entry,
     return true;
 }
 
-// --- lower bounds -------------------------------------------------------
-
-std::uint64_t
-LimitScheduler::arcBound(const DepArc &arc, std::uint64_t cycle) const
+bool
+LimitScheduler::nonAddrSatisfied(const Entry &entry,
+                                 std::uint64_t cycle) const
 {
-    if (const Entry *producer = findWindow(arc.producerSeq)) {
-        if (producer->issued || producer->ready) {
-            if (arc.collapsed)
-                return 0;           // sources certainly satisfied
-            if (producer->issued || producer->specValueSet)
-                return producer->valueTime;
-            // Ready but width-stalled: it could issue this very cycle,
-            // so the value can exist at cycle + latency at the soonest.
-            return cycle + opLatency(producer->rec.op);
-        }
-        if (arc.collapsed)
-            return producer->boundAll;
-        if (producer->specValueSet)
-            return producer->valueTime;
-        if (producer->isLoad && !producer->loadClassified &&
-            (config_.loadSpec != LoadSpecMode::None ||
-             config_.loadValuePrediction)) {
-            // Not yet classified: the earliest possible data delivery
-            // is a correct speculation right when the non-address
-            // constraints hold -- one cycle for a value prediction,
-            // the access latency for an address prediction.
-            const std::uint64_t spec_latency =
-                config_.loadValuePrediction
-                    ? 1 : opLatency(producer->rec.op);
-            return producer->boundNonAddr + spec_latency;
-        }
-        // Classified without speculation (or no speculation at all):
-        // the data arrives only after the load itself issues.
-        return producer->boundAll + opLatency(producer->rec.op);
-    }
-    if (arc.collapsed)
-        return 0;
-    return retiredValueTime(arc.producerSeq);
-}
-
-std::uint64_t
-LimitScheduler::barrierBound(const Entry &entry, std::uint64_t cycle) const
-{
-    if (entry.barrierSeq == 0)
-        return 0;
-    if (const Entry *branch = findWindow(entry.barrierSeq)) {
-        if (branch->issued)
-            return branch->valueTime;
-        if (branch->ready)
-            return cycle + 1;   // it could issue this very cycle
-        return branch->boundAll + 1;
-    }
-    return retiredValueTime(entry.barrierSeq);
-}
-
-LimitScheduler::Check
-LimitScheduler::checkAll(Entry &entry, std::uint64_t cycle) const
-{
-    std::uint64_t bound = entry.fixedReady;
-    bool ok = cycle >= entry.fixedReady;
-    if (const std::uint64_t b = barrierBound(entry, cycle); b > cycle) {
-        ok = false;
-        bound = std::max(bound, b);
-    } else if (!barrierSatisfiedNow(entry, cycle)) {
-        ok = false;
-        bound = std::max(bound, cycle + 1);
-    }
+    if (cycle < entry.fixedReady || !barrierSatisfiedNow(entry, cycle))
+        return false;
     for (unsigned i = 0; i < entry.numArcs; ++i) {
-        if (arcSatisfied(entry.arcs[i], cycle))
-            continue;
-        ok = false;
-        bound = std::max(bound, arcBound(entry.arcs[i], cycle));
+        if (!entry.arcs[i].address && !arcSatisfied(entry.arcs[i], cycle))
+            return false;
     }
-    if (!ok)
-        bound = std::max(bound, cycle + 1);
-    entry.boundAll = std::max(entry.boundAll, ok ? cycle : bound);
-    return {ok, bound};
-}
-
-LimitScheduler::Check
-LimitScheduler::checkNonAddr(Entry &entry, std::uint64_t cycle) const
-{
-    std::uint64_t bound = entry.fixedReady;
-    bool ok = cycle >= entry.fixedReady;
-    if (const std::uint64_t b = barrierBound(entry, cycle); b > cycle) {
-        ok = false;
-        bound = std::max(bound, b);
-    } else if (!barrierSatisfiedNow(entry, cycle)) {
-        ok = false;
-        bound = std::max(bound, cycle + 1);
-    }
-    for (unsigned i = 0; i < entry.numArcs; ++i) {
-        if (entry.arcs[i].address)
-            continue;
-        if (arcSatisfied(entry.arcs[i], cycle))
-            continue;
-        ok = false;
-        bound = std::max(bound, arcBound(entry.arcs[i], cycle));
-    }
-    if (!ok)
-        bound = std::max(bound, cycle + 1);
-    entry.boundNonAddr = std::max(entry.boundNonAddr, ok ? cycle : bound);
-    return {ok, bound};
+    return true;
 }
 
 // --- window construction ------------------------------------------------
@@ -335,11 +243,11 @@ LimitScheduler::addArc(Entry &entry, std::uint64_t producer_seq,
 void
 LimitScheduler::insert(const TraceRecord &rec)
 {
-    // The historical monolithic insert, now split: the private
-    // front-end computes the program-order annotation, the shared
-    // back-end half builds the window entry from it.  The batched path
-    // calls insertAnnotated() with annotations from an external
-    // SpecFrontEnd pass, so the two paths agree by construction.
+    // The naive engine's per-record insert: the private front-end
+    // computes the program-order annotation, the shared back-end half
+    // builds the window entry from it.  The wake-list engine calls
+    // insertAnnotated() with the same annotations from a batched
+    // SpecFrontEnd pass, so both engines build identical windows.
     InsertAnnotation ann;
     frontEnd_.annotate(rec, ann);
     insertAnnotated(rec, ann);
@@ -448,16 +356,12 @@ LimitScheduler::insertAnnotated(const TraceRecord &rec,
             ann.flags & InsertAnnotation::kFlagElimCcBlocked);
     }
 
-    entry.boundAll = entry.fixedReady;
-    entry.boundNonAddr = entry.fixedReady;
-
     const bool classify = config_.loadSpec != LoadSpecMode::None ||
         config_.loadValuePrediction;
-    if (!config_.naiveEngine) {
-        // The naive engine rescans the window every cycle instead of
-        // reacting to events; queueing for it would only accumulate.
-        // The batched engine seeds its wakeup machinery with the same
-        // initial events.
+    if (wakeMode_) {
+        // Seed the wake-list engine with the entry's first evaluation;
+        // the naive engine rescans the window every cycle instead, so
+        // queueing for it would only accumulate.
         pending_.push(entry.fixedReady, cycle_, entry.seq);
         if (entry.isLoad && classify)
             classifyQueue_.push(entry.fixedReady, cycle_, entry.seq);
@@ -685,12 +589,17 @@ LimitScheduler::issueReady(std::uint64_t &last_issue_cycle,
              std::max(oldestSeq_, readySeqHint_) & ~std::uint64_t{63};
          base < nextSeq_ && readyCount_ != 0; base += 64) {
         std::uint64_t word = readyBits_[(base & slotMask_) >> 6];
-        // Positions below oldestSeq_ in the first word can alias the
-        // ready bits of seqs one ring generation younger when the
-        // live span approaches the ring size; mask them off (the
-        // aliased seqs are rediscovered at their own word).
-        if (base < oldestSeq_)
+        // Positions below oldestSeq_ can alias the ready bits of seqs
+        // one ring generation younger when the live span approaches
+        // the ring size; mask them off (the aliased seqs are
+        // rediscovered at their own word).  Issuing the oldest entry
+        // can move oldestSeq_ past whole words mid-scan, and a shift
+        // by 64 or more is undefined: skip such words outright.
+        if (base < oldestSeq_) {
+            if (oldestSeq_ - base >= 64)
+                continue;
             word &= ~std::uint64_t{0} << (oldestSeq_ - base);
+        }
         while (word != 0) {
             if (issued == config_.issueWidth) {
                 readySeqHint_ =
@@ -842,8 +751,8 @@ LimitScheduler::divertViolatedLoad(Entry &entry)
     readyBits_[(entry.seq & slotMask_) >> 6] &=
         ~(std::uint64_t{1} << (entry.seq & 63));
     --readyCount_;
-    // Re-register with the active engine's wait machinery (the naive
-    // engine rescans every unready entry each cycle; nothing to do).
+    // Re-register with the wake-list machinery (the naive engine
+    // rescans every unready entry each cycle; nothing to do).
     if (wakeMode_) {
         const WakeCheck c = wakeCheckAll(entry, cycle_);
         ddsc_assert(!c.ok, "violated load immediately re-ready");
@@ -851,10 +760,6 @@ LimitScheduler::divertViolatedLoad(Entry &entry)
             registerWaiter(c.blocker, entry, /*classify_kind=*/false);
         else
             pending_.push(c.due, cycle_, entry.seq);
-    } else if (!config_.naiveEngine) {
-        const Check check = checkAll(entry, cycle_);
-        ddsc_assert(!check.ok, "violated load immediately re-ready");
-        pending_.push(check.bound, cycle_, entry.seq);
     }
     return false;
 }
@@ -932,8 +837,7 @@ LimitScheduler::runNaive(TraceSource &trace)
                 Entry *entry = findWindow(seq);
                 if (!entry || !entry->isLoad || entry->loadClassified)
                     continue;
-                Check check = checkNonAddr(*entry, cycle_);
-                if (check.ok)
+                if (nonAddrSatisfied(*entry, cycle_))
                     classifyLoad(*entry, cycle_);
             }
         }
@@ -977,120 +881,23 @@ SchedStats
 LimitScheduler::run(TraceSource &trace)
 {
     const auto start = std::chrono::steady_clock::now();
-    SchedStats stats =
-        config_.naiveEngine ? runNaive(trace) : runEvent(trace);
+    SchedStats stats;
+    if (config_.naiveEngine) {
+        stats = runNaive(trace);
+    } else {
+        // A one-cell batched pass: the private front-end annotates the
+        // trace chunk by chunk and feeds only this back-end.
+        // beginBatched() resets frontEnd_ with the rest of the state.
+        FrontEndBatch batch;
+        beginBatched();
+        while (frontEnd_.fill(trace, batch, kBatchedChunk) != 0)
+            feedBatched(batch);
+        stats = finishBatched();
+    }
     stats.wallNanos = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - start).count());
     return stats;
-}
-
-SchedStats
-LimitScheduler::runEvent(TraceSource &trace)
-{
-    resetState();
-
-    // Initial fill: instructions available in cycle 0.
-    TraceRecord rec;
-    bool exhausted = false;
-    while (windowCount_ < config_.windowSize) {
-        if (!trace.next(rec)) {
-            exhausted = true;
-            break;
-        }
-        insert(rec);
-    }
-
-    std::uint64_t last_issue_cycle = 0;
-    bool any_issue = false;
-
-    // Drain-one-bucket helpers: every event due this cycle is either
-    // in the bucket of the current cycle (drained and cleared whole)
-    // or at the top of the far heap.  No push during a drain can
-    // target the bucket being drained (re-evaluation bounds are
-    // strictly in the future), so plain index iteration is safe.
-    const auto classifyOne = [&](std::uint64_t seq) {
-        Entry *entry = findWindow(seq);
-        if (entry == nullptr)
-            return;             // already issued (classified earlier)
-        if (entry->loadClassified)
-            return;
-        const Check check = checkNonAddr(*entry, cycle_);
-        if (check.ok)
-            classifyLoad(*entry, cycle_);
-        else
-            classifyQueue_.push(check.bound, cycle_, seq);
-    };
-    const auto promoteOne = [&](std::uint64_t seq) {
-        Entry *entry = findWindow(seq);
-        if (entry == nullptr)
-            return;
-        if (entry->ready || entry->issued)
-            return;
-        const Check check = checkAll(*entry, cycle_);
-        if (check.ok)
-            markReady(*entry);
-        else
-            pending_.push(check.bound, cycle_, seq);
-    };
-
-    while (windowCount_ > 0) {
-        // 1. Load classification at the exact first cycle the
-        //    non-address constraints hold.
-        while (!classifyQueue_.far.empty() &&
-               classifyQueue_.far.top().first <= cycle_) {
-            const std::uint64_t seq = classifyQueue_.far.top().second;
-            classifyQueue_.far.pop();
-            classifyOne(seq);
-        }
-        auto &classify_due =
-            classifyQueue_.buckets[cycle_ & (kWheelSlots - 1)];
-        for (std::size_t i = 0; i < classify_due.size(); ++i)
-            classifyOne(classify_due[i]);
-        classify_due.clear();
-
-        // 2. Promote pending entries whose bound came due.
-        while (!pending_.far.empty() &&
-               pending_.far.top().first <= cycle_) {
-            const std::uint64_t seq = pending_.far.top().second;
-            pending_.far.pop();
-            promoteOne(seq);
-        }
-        auto &pending_due = pending_.buckets[cycle_ & (kWheelSlots - 1)];
-        for (std::size_t i = 0; i < pending_due.size(); ++i)
-            promoteOne(pending_due[i]);
-        pending_due.clear();
-
-        // 3. Issue up to issueWidth ready entries, oldest first.
-        //    Eliminated entries leave for free once source-satisfied.
-        const unsigned issued = issueReady(last_issue_cycle, any_issue);
-
-        // 4. Refill the window ("kept full"); new entries become
-        //    issuable from the next cycle.
-        stats_.issuedPerCycle.add(issued);
-        ++cycle_;
-        while (!exhausted && windowCount_ < config_.windowSize) {
-            if (!trace.next(rec)) {
-                exhausted = true;
-                break;
-            }
-            insert(rec);
-        }
-
-        if (issued == 0 && cycle_ > last_issue_cycle + 64) {
-            // Every latency is <= 12 cycles and all constraints resolve
-            // within a bounded time of the last issue, so a long
-            // stretch with no issue from a non-empty window is a
-            // dependence cycle: an internal bug.
-            ddsc_panic("scheduler deadlock at cycle %llu",
-                       static_cast<unsigned long long>(cycle_));
-        }
-    }
-
-    // A run in which nothing ever issues (e.g. an empty trace)
-    // occupies zero cycles; "last issue + 1" only counts real issues.
-    stats_.cycles = any_issue ? last_issue_cycle + 1 : 0;
-    return stats_;
 }
 
 // --- batched (wakeup-list) engine ----------------------------------------
@@ -1257,10 +1064,10 @@ LimitScheduler::insertFromBatch(const FrontEndBatch &batch,
 void
 LimitScheduler::runBatchedCycle()
 {
-    // Phase structure mirrors runEvent(): classification, promotion,
-    // issue, account the cycle.  The differences are confined to how
-    // failed evaluations reschedule themselves (exact wakes instead of
-    // lower bounds).
+    // Phase structure mirrors runNaive(): classification, promotion,
+    // issue, account the cycle.  Instead of rescanning the window, a
+    // failed evaluation reschedules itself at the exact cycle or wake
+    // event that can change its outcome.
 
     // 1. Load classification at the exact first cycle the non-address
     //    constraints hold.
@@ -1321,6 +1128,10 @@ LimitScheduler::runBatchedCycle()
     ++cycle_;
 
     if (issued == 0 && cycle_ > batchLastIssue_ + 64) {
+        // Every latency is <= 12 cycles and all constraints resolve
+        // within a bounded time of the last issue, so a long stretch
+        // with no issue from a non-empty window is a dependence cycle
+        // or a lost wake: an internal bug.
         ddsc_panic("batched scheduler deadlock at cycle %llu",
                    static_cast<unsigned long long>(cycle_));
     }
@@ -1371,23 +1182,6 @@ LimitScheduler::finishBatched()
     stats_.cycles = batchAnyIssue_ ? batchLastIssue_ + 1 : 0;
     wakeMode_ = false;
     return stats_;
-}
-
-SchedStats
-LimitScheduler::runBatched(TraceSource &trace)
-{
-    const auto start = std::chrono::steady_clock::now();
-    SpecFrontEnd front(config_);
-    FrontEndBatch batch;
-    beginBatched();
-    while (front.fill(trace, batch, 16384) != 0)
-        feedBatched(batch);
-    SchedStats stats = finishBatched();
-    stats.wallNanos = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - start).count());
-    stats_ = stats;
-    return stats;
 }
 
 } // namespace ddsc

@@ -20,15 +20,17 @@
  *  - Load-speculation and collapsing per MachineConfig; see DESIGN.md
  *    section 5 for the precise semantics.
  *
- * Engine: event-driven rather than scan-based.  Each window entry
- * carries a monotone lower bound on the cycle its constraints can
- * first all hold ("next try"); entries wait in a min-heap keyed on
- * that bound and are re-evaluated only when the bound comes due, so a
- * blocked 4096-entry window costs nothing per idle cycle.  Bounds
- * never overshoot the true readiness cycle (each failing evaluation
- * derives the next bound from exact producer state), so readiness and
- * load classification happen at exactly the same cycles as a naive
- * full scan.
+ * Engine: wake-list rather than scan-based.  A failed readiness (or
+ * load-classification) evaluation stops at its first unsatisfied
+ * constraint and sleeps until that constraint can change: on a
+ * timing wheel for the cycle it resolves when that cycle is already
+ * known, or on the blocking producer's wakeup list until its issue,
+ * speculative value delivery, or source readiness names the cycle.
+ * Every wake fires at a true satisfaction time, so readiness and load
+ * classification happen at exactly the cycles a full window scan
+ * finds, and a blocked 4096-entry window costs nothing per idle
+ * cycle.  That scan survives as the naive engine
+ * (MachineConfig::naiveEngine), the test oracle.
  *
  * Hot-path layout: sequence numbers are dense (one per inserted
  * instruction, never reused within a run), so every per-instruction
@@ -47,11 +49,11 @@
  *    words, invalidated between runs by epoch instead of deallocation,
  *    so a load/store touches one page pointer instead of one hash
  *    probe per byte;
- *  - the bound queues ("re-evaluate entry E at cycle C") are timing
- *    wheels: events due within the wheel span go to the bucket of
- *    their cycle and each cycle drains exactly one bucket, so the
- *    per-event cost is O(1) instead of a log-depth heap sift; the
- *    rare far-future bound (deep long-latency chains) waits in a
+ *  - the re-evaluation queues ("re-evaluate entry E at cycle C") are
+ *    timing wheels: events due within the wheel span go to the
+ *    bucket of their cycle and each cycle drains exactly one bucket,
+ *    so the per-event cost is O(1) instead of a log-depth heap sift;
+ *    the rare far-future event (deep long-latency chains) waits in a
  *    small min-heap consulted once per cycle;
  *  - the ready set is a bitmap over the window ring scanned with
  *    countr_zero, which both engines share for the issue stage:
@@ -86,7 +88,10 @@ class LimitScheduler
   public:
     explicit LimitScheduler(const MachineConfig &config);
 
-    /** Simulate @p trace from its current position to the end. */
+    /** Simulate @p trace from its current position to the end: the
+     *  naive scan engine when config.naiveEngine is set, otherwise a
+     *  one-cell batched pass (a private front-end feeding the
+     *  protocol below), wall-timed into SchedStats::wallNanos. */
     SchedStats run(TraceSource &trace);
 
     /**
@@ -102,20 +107,13 @@ class LimitScheduler
      * feedBatched() advances simulated cycles only while the chunk can
      * keep the window full ("kept full" semantics); the leftover tail
      * waits for the next chunk.  finishBatched() drains the window.
-     * The resulting SchedStats are bit-identical to run() on the same
-     * trace (wallNanos excepted, which the caller owns in this mode);
-     * the batched engine promotes entries with exact wakeup lists
-     * instead of the event engine's monotone lower bounds, so a
-     * 2048-wide window of long dependence chains costs O(arcs), not
-     * O(arcs x bound advances).
+     * The resulting SchedStats do not depend on the chunk size or on
+     * how many back-ends share the pass (wallNanos excepted, which
+     * the caller owns in this mode).
      */
     void beginBatched();
     void feedBatched(const FrontEndBatch &batch);
     SchedStats finishBatched();
-
-    /** Convenience: run a private front-end pass feeding only this
-     *  back-end through the batched path (wall-timed like run()). */
-    SchedStats runBatched(TraceSource &trace);
 
     /**
      * Cooperative cancellation: both engines poll @p token at
@@ -135,12 +133,10 @@ class LimitScheduler
     /** Reset all run state (predictors keep their construction). */
     void resetState();
 
-    /** The event-driven engine proper (run() adds wall timing). */
-    SchedStats runEvent(TraceSource &trace);
-
-    /** The O(window)-per-cycle reference engine (config.naiveEngine);
-     *  semantically identical to the event-driven engine and used to
-     *  differentially test it. */
+    /** The O(window)-per-cycle reference engine (config.naiveEngine):
+     *  rescans the window every cycle with the exact predicates below
+     *  and never touches the wake-list machinery, so it checks the
+     *  production engine independently. */
     SchedStats runNaive(TraceSource &trace);
 
   private:
@@ -168,12 +164,6 @@ class LimitScheduler
         bool live = false;              ///< slot holds an in-window entry
         bool issued = false;
         bool ready = false;             ///< in the ready set
-
-        /** Monotone lower bounds on constraint satisfaction, updated
-         *  each time this entry is evaluated.  Consumers read them to
-         *  derive their own bounds. */
-        std::uint64_t boundAll = 0;
-        std::uint64_t boundNonAddr = 0;
 
         /** Value availability once known (issue + latency, or the
          *  speculative completion for predicted-correct loads). */
@@ -223,8 +213,8 @@ class LimitScheduler
         bool hasValueReader = false;    ///< non-collapsed arc exists
         bool eliminated = false;        ///< never consumes an issue slot
 
-        /** Batched-engine wakeup lists (unused by the event/naive
-         *  engines).  An entry blocked on this producer's unknown
+        /** Wake-list engine wakeup lists (unused by the naive
+         *  engine).  An entry blocked on this producer's unknown
          *  future (issue time or source readiness) links itself here;
          *  the chain is seq-encoded tokens (waiterSeq << 1 | kind) so
          *  it survives growWindow()'s entry copies.  Each waiter
@@ -233,13 +223,6 @@ class LimitScheduler
         std::uint64_t wakeHead = 0;         ///< 0 = no waiters
         std::uint64_t wakeNextPromote = 0;
         std::uint64_t wakeNextClassify = 0;
-    };
-
-    /** Outcome of evaluating a constraint set at some cycle. */
-    struct Check
-    {
-        bool ok;
-        std::uint64_t bound;    ///< valid lower bound when !ok
     };
 
     void insert(const TraceRecord &rec);
@@ -257,14 +240,9 @@ class LimitScheduler
                              std::uint64_t cycle) const;
     bool sourcesSatisfied(const Entry &entry, std::uint64_t cycle) const;
     bool addrArcsSatisfied(const Entry &entry, std::uint64_t cycle) const;
-
-    /** Lower bound on when @p arc can be satisfied (exact for issued
-     *  producers). */
-    std::uint64_t arcBound(const DepArc &arc, std::uint64_t cycle) const;
-    std::uint64_t barrierBound(const Entry &entry,
-                               std::uint64_t cycle) const;
-    Check checkAll(Entry &entry, std::uint64_t cycle) const;
-    Check checkNonAddr(Entry &entry, std::uint64_t cycle) const;
+    /** Every constraint but the address arcs holds at @p cycle: the
+     *  naive engine's load-classification predicate. */
+    bool nonAddrSatisfied(const Entry &entry, std::uint64_t cycle) const;
 
     void classifyLoad(Entry &entry, std::uint64_t cycle);
     void issue(Entry &entry, std::uint64_t cycle);
@@ -272,7 +250,7 @@ class LimitScheduler
     /** Memory-dependence violation at issue: squash the load.  Returns
      *  true when it may still issue this cycle (violation-proof value
      *  prediction); false when it was sent back to wait on the
-     *  restored store arc (re-registered with the active engine). */
+     *  restored store arc (re-registered with the wake-list engine). */
     bool divertViolatedLoad(Entry &entry);
 
     /** The in-window entry with sequence number @p seq, or nullptr
@@ -318,18 +296,17 @@ class LimitScheduler
     // --- batched (wakeup-list) engine ---------------------------------
     //
     // Re-evaluations are scheduled at *exact* constraint-resolution
-    // times instead of monotone lower bounds.  A failed evaluation
-    // stops at its first unsatisfied constraint: when that
-    // constraint's satisfaction time is already known (fixed
-    // readiness, an issued or value-speculated producer, a retired
-    // value time) the entry goes back on the wheel for that cycle;
-    // otherwise (an unissued producer) it links into the producer's
-    // wakeup list and sleeps until markReady / issue / speculative
-    // value delivery names the time.  Every entry is thus evaluated
-    // O(constraints) times total, and promotion still happens at
-    // exactly the same cycle as the event/naive engines (each wake
-    // fires at a true satisfaction time, and the last one fires at
-    // their maximum).
+    // times.  A failed evaluation stops at its first unsatisfied
+    // constraint: when that constraint's satisfaction time is already
+    // known (fixed readiness, an issued or value-speculated producer,
+    // a retired value time) the entry goes back on the wheel for that
+    // cycle; otherwise (an unissued producer) it links into the
+    // producer's wakeup list and sleeps until markReady / issue /
+    // speculative value delivery names the time.  Every entry is thus
+    // evaluated O(constraints) times total, and promotion still
+    // happens at exactly the cycle the naive engine's full scan finds
+    // (each wake fires at a true satisfaction time, and the last one
+    // fires at their maximum).
 
     /** Outcome of a batched-engine evaluation: satisfied, or blocked
      *  until a known cycle (`due`), or blocked on an unissued
@@ -361,9 +338,10 @@ class LimitScheduler
     void runBatchedCycle();
 
     MachineConfig config_;
-    /** The legacy single-cell path drives this private front-end;
-     *  the batched path bypasses it (annotations arrive from a shared
-     *  external pass). */
+    /** run()'s private front-end (per record for the naive engine,
+     *  per chunk for the one-cell batched pass); a shared batched
+     *  pass bypasses it (annotations arrive from an external
+     *  SpecFrontEnd). */
     SpecFrontEnd frontEnd_;
 
     /** The window: a power-of-two ring of slots addressed by
@@ -389,40 +367,40 @@ class LimitScheduler
     std::vector<Retired> retired_;
     std::uint64_t retiredMask_ = 0;
 
-    /** (bound, seq) min-heap for far-future wheel events. */
-    using BoundHeap = std::priority_queue<
+    /** (due cycle, seq) min-heap for far-future wheel events. */
+    using DueHeap = std::priority_queue<
         std::pair<std::uint64_t, std::uint64_t>,
         std::vector<std::pair<std::uint64_t, std::uint64_t>>,
         std::greater<>>;
 
-    /** Timing wheel of (bound, seq) re-evaluation events.  cycle_
+    /** Timing wheel of (due cycle, seq) re-evaluation events.  cycle_
      *  advances by exactly 1 per engine iteration and every bucket is
-     *  drained each cycle, so an event pushed with bound within
-     *  kWheelSlots of the current cycle sits in the bucket of its due
-     *  cycle and is popped exactly then; farther bounds (deep
-     *  long-latency chains) wait in `far`, whose top is consulted once
-     *  per cycle.  Push is O(1) versus the log-depth sift of a global
-     *  heap; events are still lazily invalidated at drain (the entry
-     *  may have issued meanwhile). */
+     *  drained each cycle, so an event due within kWheelSlots of the
+     *  current cycle sits in the bucket of its due cycle and is
+     *  popped exactly then; farther events (deep long-latency chains)
+     *  wait in `far`, whose top is consulted once per cycle.  Push
+     *  is O(1) versus the log-depth sift of a global heap; events are
+     *  still lazily invalidated at drain (the entry may have issued
+     *  meanwhile). */
     static constexpr std::uint64_t kWheelSlots = 256;
-    struct BoundWheel
+    struct WakeWheel
     {
         std::array<std::vector<std::uint64_t>, kWheelSlots> buckets;
-        BoundHeap far;
+        DueHeap far;
 
         void
-        push(std::uint64_t bound, std::uint64_t cycle, std::uint64_t seq)
+        push(std::uint64_t due, std::uint64_t cycle, std::uint64_t seq)
         {
-            if (bound - cycle < kWheelSlots)
-                buckets[bound & (kWheelSlots - 1)].push_back(seq);
+            if (due - cycle < kWheelSlots)
+                buckets[due & (kWheelSlots - 1)].push_back(seq);
             else
-                far.push({bound, seq});
+                far.push({due, seq});
         }
 
         void clear();
     };
-    BoundWheel pending_;        ///< waiting to become issue-ready
-    BoundWheel classifyQueue_;  ///< loads waiting for classification
+    WakeWheel pending_;         ///< waiting to become issue-ready
+    WakeWheel classifyQueue_;   ///< loads waiting for classification
 
     /** Issue-ready entries: one bit per window-ring slot (index
      *  seq & slotMask_).  The issue stage scans words oldest-first;

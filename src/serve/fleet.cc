@@ -71,8 +71,6 @@ shardArgs(const FleetOptions &opts, std::size_t index,
         args.push_back("--watchdog-budget-ms");
         args.push_back(std::to_string(shard.watchdogBudgetMs));
     }
-    if (!shard.batched)
-        args.push_back("--no-batched");
     if (!shard.traceDir.empty()) {
         // Private per-shard spill dirs: generations of *one* shard
         // reuse their spilled traces, but shards never race on a

@@ -70,7 +70,7 @@ struct FleetOptions
      *  shard is declared broken. */
     unsigned maxRestarts = 10;
     /** Template for every shard (jobs, maxSessions, watchdog budget,
-     *  batched, trace dir/budget).  port and cacheDir are overridden
+     *  trace dir/budget).  port and cacheDir are overridden
      *  per shard; generation is stamped per life. */
     ServerOptions shardOpts;
     /** Router front-end (port = the --port flag; retry policy rides

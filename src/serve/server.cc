@@ -19,7 +19,6 @@ Server::Server(const ServerOptions &opts)
       registry_(driver_),
       admission_(opts.admission)
 {
-    driver_.setBatched(opts_.batched);
     if (!opts_.traceDir.empty()) {
         driver_.setTraceDir(opts_.traceDir);
         driver_.setTraceBudgetMb(opts_.traceBudgetMb);

@@ -57,9 +57,6 @@ struct ServerOptions
     unsigned maxSessions = 8;   ///< live sessions before shedding
     int backlog = 16;           ///< listen(2) backlog
     bool testScale = false;     ///< small workloads (tests only)
-    /** Share one front-end pass among same-fingerprint cells of a
-     *  sweep (bit-identical results; --no-batched opts out). */
-    bool batched = true;
     /** Soft watchdog budget per in-flight cell, ms.  0 = adaptive:
      *  8x the slowest cell ever observed (2 s floor), and no sweeps
      *  at all until at least one cell has finished.  A cell past the

@@ -1,5 +1,6 @@
 #include "batched.hh"
 
+#include <algorithm>
 #include <cctype>
 #include <chrono>
 #include <cstdlib>
@@ -26,9 +27,16 @@ nowNanos()
             .count());
 }
 
-/** Same stall knob as the per-cell path ($DDSC_FAULT_STALL_MS). */
-unsigned
-faultStallMs()
+/**
+ * The injected "cell-stall": hold the cell in flight for
+ * $DDSC_FAULT_STALL_MS (default 400 ms), so the deadline,
+ * single-flight, and watchdog tests can widen their race windows
+ * deterministically.  The sleep is sliced and polls @p token: the
+ * watchdog's active cancel exists to reclaim exactly such a stuck
+ * flight, so a firing token throws CancelledError within 20 ms.
+ */
+void
+injectedStall(const support::CancelToken &token)
 {
     static const unsigned stall_ms = [] {
         const char *v = std::getenv("DDSC_FAULT_STALL_MS");
@@ -36,7 +44,12 @@ faultStallMs()
             return static_cast<unsigned>(std::strtoul(v, nullptr, 10));
         return 400u;
     }();
-    return stall_ms;
+    for (unsigned slept = 0; slept < stall_ms; slept += 20) {
+        if (token.valid())
+            token.throwIfCancelled();
+        std::this_thread::sleep_for(std::chrono::milliseconds(
+            std::min(20u, stall_ms - slept)));
+    }
 }
 
 } // anonymous namespace
@@ -122,16 +135,16 @@ runBatchedGroup(const SharedTrace &trace,
         }
         const std::uint64_t start = nowNanos();
         try {
-            // The same injection hooks as the per-cell path, checked
-            // per feed so persistent ("cell-throw:<tag>") faults fire
-            // mid-batch: the failure lands while sibling back-ends are
-            // part-way through the very same front-end pass.
+            // The injection hooks are checked per feed, so persistent
+            // ("cell-throw:<tag>") faults fire mid-batch: the failure
+            // lands while sibling back-ends are part-way through the
+            // very same front-end pass.
             if (support::faultShouldFire("cell-throw", keys[i].c_str()))
                 throw std::runtime_error(
                     "injected fault: cell-throw at '" + keys[i] + "'");
             if (support::faultShouldFire("cell-stall", keys[i].c_str()))
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(faultStallMs()));
+                injectedStall(tokens.empty() ? support::CancelToken()
+                                             : tokens[i]);
             if (finish) {
                 out.cells[i].stats = scheds[i]->finishBatched();
                 out.cells[i].ok = true;
@@ -183,6 +196,38 @@ runBatchedGroup(const SharedTrace &trace,
     for (std::size_t i = 0; i < configs.size(); ++i)
         if (out.cells[i].ok)
             out.cells[i].stats.wallNanos = beNanos[i] + fe_share;
+    return out;
+}
+
+BatchedGroupResult
+runBatchedGroupWithRetry(const SharedTrace &trace,
+                         const std::vector<MachineConfig> &configs,
+                         const std::vector<std::string> &keys,
+                         std::size_t chunk,
+                         const std::vector<support::CancelToken> &tokens)
+{
+    BatchedGroupResult out =
+        runBatchedGroup(trace, configs, keys, chunk, tokens);
+    for (std::size_t i = 0; i < out.cells.size(); ++i) {
+        BatchedCellResult &cell = out.cells[i];
+        unsigned attempt = 1;
+        while (!cell.ok && !cell.cancelled) {
+            warn("cell '%s' failed (attempt %u of %u): %s",
+                 keys[i].c_str(), attempt, kCellAttempts,
+                 cell.error.c_str());
+            if (++attempt > kCellAttempts)
+                break;
+            cell = runBatchedGroup(
+                       trace, {configs[i]}, {keys[i]}, chunk,
+                       {tokens.empty() ? support::CancelToken()
+                                       : tokens[i]})
+                       .cells.front();
+            if (cell.ok) {
+                warn("cell '%s' recovered on attempt %u of %u",
+                     keys[i].c_str(), attempt, kCellAttempts);
+            }
+        }
+    }
     return out;
 }
 

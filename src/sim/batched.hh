@@ -6,19 +6,21 @@
  * width sweep of one paper configuration, or {A, C, E} together since
  * none of them trains a load predictor).
  *
- * runBatchedGroup() is the shared engine behind ExperimentDriver's
- * batched prefetch, ddsc-sim's --batched sweep, and bench_sched's
- * `batched` series.  Per-cell results are bit-identical to the
- * one-cell-at-a-time path (tests/batched_equiv_test.cpp is the
- * oracle); only wallNanos differs, carrying each cell's own back-end
- * time plus an equal share of the single front-end pass.
+ * runBatchedGroup() is how every cell is simulated: ExperimentDriver
+ * runs its sweeps, its single cells, and their retries through
+ * runBatchedGroupWithRetry() below, as do ddsc-sim's config sweeps,
+ * and bench_sched times the same path.  Per-cell results do not depend on the
+ * grouping or the chunk size, and equal the naive reference engine's
+ * (tests/batched_equiv_test.cpp is the oracle); only wallNanos
+ * differs, carrying each cell's own back-end time plus an equal share
+ * of the single front-end pass.
  *
- * Fault containment matches the per-cell path's first attempt: the
- * "cell-throw"/"cell-stall" injection hooks fire per cell inside the
- * batch, and a cell that throws mid-batch is dropped from the group
- * without disturbing its siblings (each back-end owns all its window
- * state; the front-end is read-only to them).  The caller retries
- * failed cells on the legacy path for their remaining attempts.
+ * Fault containment: the "cell-throw"/"cell-stall" injection hooks
+ * fire per cell inside the batch, and a cell that throws mid-batch is
+ * dropped from the group without disturbing its siblings (each
+ * back-end owns all its window state; the front-end is read-only to
+ * them).  runBatchedGroupWithRetry() retries such a cell alone for its
+ * remaining attempts.
  */
 
 #ifndef DDSC_SIM_BATCHED_HH
@@ -57,8 +59,8 @@ struct BatchedGroupResult
     FrontEndTrainCounts trainCounts;        ///< post-pass totals
 };
 
-/** Default records per streamed chunk. */
-constexpr std::size_t kBatchedChunk = 16384;
+/** Times a cell is attempted before it is given up as failed. */
+constexpr unsigned kCellAttempts = 3;
 
 /**
  * Run every (config, key) cell over @p trace with one shared
@@ -77,6 +79,24 @@ constexpr std::size_t kBatchedChunk = 16384;
  * cancelled — the pre-cancellation behaviour.
  */
 BatchedGroupResult runBatchedGroup(
+    const SharedTrace &trace,
+    const std::vector<MachineConfig> &configs,
+    const std::vector<std::string> &keys,
+    std::size_t chunk = kBatchedChunk,
+    const std::vector<support::CancelToken> &tokens = {});
+
+/**
+ * runBatchedGroup() with bounded retry, the one fault-containment
+ * policy of the driver and ddsc-sim.  A cell that fails in the shared
+ * pass is retried alone, as a one-cell group over a fresh cursor,
+ * until it has had kCellAttempts attempts: a transient fault recovers
+ * (warning "cell '<key>' recovered on attempt N of 3") and a
+ * persistent one comes back !ok with the last attempt's error (each
+ * failure warns "cell '<key>' failed (attempt N of 3): <error>").  A
+ * cancelled cell is not a failure: it is never retried, since the
+ * same token would only cancel it again.
+ */
+BatchedGroupResult runBatchedGroupWithRetry(
     const SharedTrace &trace,
     const std::vector<MachineConfig> &configs,
     const std::vector<std::string> &keys,

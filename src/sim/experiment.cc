@@ -3,15 +3,11 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
-#include <chrono>
 #include <cstdlib>
 #include <limits>
 #include <set>
-#include <thread>
 #include <utility>
 
-#include "sim/batched.hh"
-#include "support/fault.hh"
 #include "support/logging.hh"
 #include "support/shutdown.hh"
 #include "support/stats.hh"
@@ -130,88 +126,6 @@ ExperimentDriver::guardKey(const std::string &cache_key,
 #endif
 }
 
-SchedStats
-ExperimentDriver::runCell(const SharedTrace &trace,
-                          const MachineConfig &config,
-                          const support::CancelToken &token) const
-{
-    const std::unique_ptr<TraceSource> view = trace.cursor();
-    LimitScheduler scheduler(config);
-    scheduler.setCancel(token);
-    return scheduler.run(*view);
-}
-
-SchedStats
-ExperimentDriver::runCellChecked(const std::string &key,
-                                 const SharedTrace &trace,
-                                 const MachineConfig &config,
-                                 const support::CancelToken &token) const
-{
-    if (token.valid())
-        token.throwIfCancelled();
-    if (support::faultShouldFire("cell-throw", key.c_str()))
-        throw std::runtime_error("injected fault: cell-throw at '" +
-                                 key + "'");
-    if (support::faultShouldFire("cell-stall", key.c_str())) {
-        // Hold the cell in flight for a while: the deadline,
-        // single-flight, and watchdog tests use this to widen the
-        // race window deterministically.  $DDSC_FAULT_STALL_MS
-        // tunes the duration (default 400 ms) so watchdog tests can
-        // stall well past their budgets without slowing the rest of
-        // the suite.  The sleep is sliced so a firing token can
-        // interrupt it: the injected stall is exactly what the
-        // watchdog's active cancel exists to reclaim.
-        static const unsigned stall_ms = [] {
-            const char *v = std::getenv("DDSC_FAULT_STALL_MS");
-            if (v && std::isdigit(static_cast<unsigned char>(v[0])))
-                return static_cast<unsigned>(
-                    std::strtoul(v, nullptr, 10));
-            return 400u;
-        }();
-        for (unsigned slept = 0; slept < stall_ms; slept += 20) {
-            if (token.valid())
-                token.throwIfCancelled();
-            std::this_thread::sleep_for(std::chrono::milliseconds(
-                std::min(20u, stall_ms - slept)));
-        }
-    }
-    return runCell(trace, config, token);
-}
-
-bool
-ExperimentDriver::attemptCell(const std::string &key,
-                              const SharedTrace &trace,
-                              const MachineConfig &config,
-                              SchedStats &out,
-                              CellFailure &failure,
-                              unsigned first_attempt,
-                              const support::CancelToken &token) const
-{
-    for (unsigned attempt = first_attempt; attempt <= kCellAttempts;
-         ++attempt) {
-        try {
-            out = runCellChecked(key, trace, config, token);
-            if (attempt > 1) {
-                warn("cell '%s' recovered on attempt %u of %u",
-                     key.c_str(), attempt, kCellAttempts);
-            }
-            return true;
-        } catch (const support::CancelledError &) {
-            // Not a cell failure: retrying under the same fired token
-            // would cancel again, and quarantining would poison a
-            // healthy cell.  Let the caller unwind.
-            throw;
-        } catch (const std::exception &e) {
-            failure = {key, e.what(), attempt};
-        } catch (...) {
-            failure = {key, "unknown exception", attempt};
-        }
-        warn("cell '%s' failed (attempt %u of %u): %s", key.c_str(),
-             attempt, kCellAttempts, failure.message.c_str());
-    }
-    return false;
-}
-
 const SchedStats &
 ExperimentDriver::statsFor(const WorkloadSpec &spec,
                            const MachineConfig &config,
@@ -242,26 +156,25 @@ ExperimentDriver::statsFor(const WorkloadSpec &spec,
             return it->second;
         }
     }
-    SchedStats stats;
-    CellFailure failure;
     traceStore_.touch(src);
-    bool ran = false;
-    try {
-        ran = attemptCell(cache_key, src, config, stats, failure, 1,
-                          token);
-    } catch (const support::CancelledError &e) {
+    BatchedCellResult cell =
+        runBatchedGroupWithRetry(src, {config}, {cache_key},
+                                 kBatchedChunk, {token})
+            .cells.front();
+    if (cell.cancelled) {
         // The cell is left exactly as if it had never been asked for:
         // the next request that wants it simulates from scratch.
-        throw CellCancelled(cache_key, e.what());
+        throw CellCancelled(cache_key, cell.error);
     }
-    if (!ran) {
+    if (!cell.ok) {
+        const CellFailure failure{cache_key, cell.error, kCellAttempts};
         std::lock_guard<std::mutex> lock(mutex_);
         quarantine_.emplace(cache_key, failure);
         throw CellQuarantined(failure);
     }
     if (store_) {
         store_->append(cache_key, config.fingerprint(),
-                       traceDigest(spec), stats);
+                       traceDigest(spec), cell.stats);
     }
     std::lock_guard<std::mutex> lock(mutex_);
     ++simulated_;
@@ -269,7 +182,7 @@ ExperimentDriver::statsFor(const WorkloadSpec &spec,
     // watchdog applied while this very simulation was stuck: the
     // result in hand proves the cell is healthy.
     quarantine_.erase(cache_key);
-    return cache_.emplace(cache_key, std::move(stats)).first->second;
+    return cache_.emplace(cache_key, std::move(cell.stats)).first->second;
 }
 
 const SchedStats &
@@ -398,152 +311,90 @@ ExperimentDriver::prefetch(const std::vector<ExperimentCell> &cells,
     if (missing.empty())
         return;
 
-    // Run the missing cells concurrently on the shared pool.  Each
-    // task owns a private trace cursor and scheduler and writes only
-    // its own result slot, so the computation is race-free by
-    // construction; the shared cache is filled afterwards, under the
-    // mutex, in enumeration order (a std::map is insertion-order
-    // independent anyway).  attemptCell() contains worker exceptions:
-    // a throwing cell is retried, then quarantined, and never takes
-    // the sweep down with it, so every other slot still holds its
-    // bit-exact result.  Waiting on this batch's own futures (rather
-    // than pool.wait()) is what lets several prefetch() calls share
-    // the workers: each caller blocks only until *its* cells are done.
-    std::vector<SchedStats> results(missing.size());
-    std::vector<CellFailure> failures(missing.size());
-    std::vector<char> succeeded(missing.size(), 0);
+    // Group the missing cells by (workload, front-end fingerprint):
+    // each group is one streaming front-end pass feeding all its
+    // back-end window engines, so the paper matrix costs two trace
+    // decodes per workload instead of 25.  Groups are the pool tasks
+    // (sibling cells of a group share one pass by construction), and
+    // runBatchedGroupWithRetry() contains worker exceptions: a
+    // throwing cell is retried alone, then reported failed, and never
+    // takes its siblings or the sweep down with it.  Each task writes
+    // only its own cells' result slots, so the computation is
+    // race-free by construction; the shared cache is filled
+    // afterwards, under the mutex, in enumeration order.  Waiting on
+    // this batch's own futures (rather than pool.wait()) is what lets
+    // several prefetch() calls share the workers: each caller blocks
+    // only until *its* cells are done.
+    std::vector<std::vector<std::size_t>> groups;
+    {
+        std::map<std::pair<const SharedTrace *, std::string>,
+                 std::size_t> index;
+        for (std::size_t i = 0; i < missing.size(); ++i) {
+            // setBatched(false) keys every cell apart: one-cell groups.
+            const std::string fp = batched_
+                ? missing[i].config.frontEndFingerprint()
+                : std::to_string(i);
+            const auto [it, inserted] = index.try_emplace(
+                {missing[i].trace, fp}, groups.size());
+            if (inserted)
+                groups.emplace_back();
+            groups[it->second].push_back(i);
+        }
+    }
+    std::vector<BatchedCellResult> results(missing.size());
+    // Cells an interruptible driver never started are published like
+    // cancelled ones — neither cached, nor quarantined, nor appended
+    // to the store — so the next request re-runs them cleanly.
     std::vector<char> skipped(missing.size(), 0);
-    // Cancelled cells are published like skipped ones — neither
-    // cached, nor quarantined, nor appended to the store — so the
-    // next request re-runs them cleanly.
-    std::vector<char> cancelled(missing.size(), 0);
     support::ThreadPool &workers = pool();
     std::vector<std::future<void>> batch;
-    // Lives past the submit loop: group tasks index into it from
-    // worker threads until every future below is collected.
-    std::vector<std::vector<std::size_t>> groups;
-    if (batched_) {
-        // Group the missing cells by (workload, front-end
-        // fingerprint): each group is one streaming front-end pass
-        // feeding all its back-end window engines, so the paper
-        // matrix costs two trace decodes per workload instead of 25.
-        // Groups are pool tasks (they are the natural parallel unit —
-        // sibling cells of a group share one pass by construction);
-        // a cell that fails inside its group is retried alone on the
-        // per-cell path, continuing the attempt count, so transient
-        // faults recover and persistent ones quarantine exactly as on
-        // the legacy path.
-        {
-            std::map<std::pair<const SharedTrace *, std::string>,
-                     std::size_t> index;
-            for (std::size_t i = 0; i < missing.size(); ++i) {
-                const auto [it, inserted] = index.try_emplace(
-                    {missing[i].trace,
-                     missing[i].config.frontEndFingerprint()},
-                    groups.size());
-                if (inserted)
-                    groups.emplace_back();
-                groups[it->second].push_back(i);
-            }
-        }
-        batch.reserve(groups.size());
-        for (std::size_t g = 0; g < groups.size(); ++g) {
-            batch.push_back(workers.submit([&, g]() {
-                const std::vector<std::size_t> &group = groups[g];
-                if (interruptible_ && support::shutdownRequested()) {
-                    for (const std::size_t i : group)
-                        skipped[i] = 1;
-                    return;
-                }
-                std::vector<MachineConfig> configs;
-                std::vector<std::string> keys;
-                std::vector<support::CancelToken> group_tokens;
-                bool any_token = false;
-                configs.reserve(group.size());
-                keys.reserve(group.size());
-                group_tokens.reserve(group.size());
-                for (const std::size_t i : group) {
-                    configs.push_back(missing[i].config);
-                    keys.push_back(missing[i].key);
-                    group_tokens.push_back(missing[i].token);
-                    any_token = any_token || missing[i].token.valid();
-                }
-                if (!any_token)
-                    group_tokens.clear();
-                // LRU-touch at execution (not enumeration) time, so
-                // the residency budget tracks the order traces are
-                // actually swept in.
-                traceStore_.touch(*missing[group[0]].trace);
-                const BatchedGroupResult out = runBatchedGroup(
-                    *missing[group[0]].trace, configs, keys,
-                    kBatchedChunk, group_tokens);
-                for (std::size_t k = 0; k < group.size(); ++k) {
-                    const std::size_t i = group[k];
-                    if (out.cells[k].ok) {
-                        results[i] = out.cells[k].stats;
-                        succeeded[i] = 1;
-                        continue;
-                    }
-                    if (out.cells[k].cancelled) {
-                        cancelled[i] = 1;
-                        continue;
-                    }
-                    failures[i] = {missing[i].key,
-                                   out.cells[k].error, 1};
-                    warn("cell '%s' failed (attempt 1 of %u): %s",
-                         missing[i].key.c_str(), kCellAttempts,
-                         out.cells[k].error.c_str());
-                    try {
-                        succeeded[i] =
-                            attemptCell(missing[i].key,
-                                        *missing[i].trace,
-                                        missing[i].config, results[i],
-                                        failures[i], 2,
-                                        missing[i].token)
-                                ? 1 : 0;
-                    } catch (const support::CancelledError &) {
-                        cancelled[i] = 1;
-                    }
-                }
-            }));
-        }
-    } else {
-        batch.reserve(missing.size());
-        for (std::size_t i = 0; i < missing.size(); ++i) {
-            batch.push_back(workers.submit([&, i]() {
-                // An interruptible driver (the CLI tools after Ctrl-C)
-                // abandons cells it has not started; whatever already
-                // finished is still published and flushed below.
-                if (interruptible_ && support::shutdownRequested()) {
+    batch.reserve(groups.size());
+    for (const std::vector<std::size_t> &group : groups) {
+        batch.push_back(workers.submit([&]() {
+            // An interruptible driver (the CLI tools after Ctrl-C)
+            // abandons cells it has not started; whatever already
+            // finished is still published and flushed below.
+            if (interruptible_ && support::shutdownRequested()) {
+                for (const std::size_t i : group)
                     skipped[i] = 1;
-                    return;
-                }
-                traceStore_.touch(*missing[i].trace);
-                try {
-                    succeeded[i] = attemptCell(missing[i].key,
-                                               *missing[i].trace,
-                                               missing[i].config,
-                                               results[i], failures[i],
-                                               1, missing[i].token)
-                                       ? 1 : 0;
-                } catch (const support::CancelledError &) {
-                    cancelled[i] = 1;
-                }
-            }));
-        }
+                return;
+            }
+            std::vector<MachineConfig> configs;
+            std::vector<std::string> keys;
+            std::vector<support::CancelToken> group_tokens;
+            configs.reserve(group.size());
+            keys.reserve(group.size());
+            group_tokens.reserve(group.size());
+            for (const std::size_t i : group) {
+                configs.push_back(missing[i].config);
+                keys.push_back(missing[i].key);
+                group_tokens.push_back(missing[i].token);
+            }
+            // LRU-touch at execution (not enumeration) time, so the
+            // residency budget tracks the order traces are actually
+            // swept in.
+            traceStore_.touch(*missing[group[0]].trace);
+            BatchedGroupResult out = runBatchedGroupWithRetry(
+                *missing[group[0]].trace, configs, keys, kBatchedChunk,
+                group_tokens);
+            for (std::size_t k = 0; k < group.size(); ++k)
+                results[group[k]] = std::move(out.cells[k]);
+        }));
     }
     for (std::future<void> &done : batch)
         done.get();
 
     std::lock_guard<std::mutex> lock(mutex_);
     for (std::size_t i = 0; i < missing.size(); ++i) {
-        if (skipped[i])
-            continue;   // neither cached nor quarantined: never ran
-        if (cancelled[i])
-            continue;   // ditto: partial state was discarded, the
+        if (skipped[i] || results[i].cancelled)
+            continue;   // neither cached nor quarantined: never ran,
+                        // or its partial state was discarded; the
                         // cell re-runs cleanly on the next request
-        if (!succeeded[i]) {
-            quarantine_.emplace(missing[i].key, failures[i]);
+        if (!results[i].ok) {
+            quarantine_.emplace(missing[i].key,
+                                CellFailure{missing[i].key,
+                                            results[i].error,
+                                            kCellAttempts});
             continue;
         }
         // Persist before publishing, in enumeration order: a kill
@@ -551,13 +402,13 @@ ExperimentDriver::prefetch(const std::vector<ExperimentCell> &cells,
         // and the store contents are deterministic for a given sweep.
         if (store_) {
             store_->append(missing[i].key, missing[i].fingerprint,
-                           missing[i].digest, results[i]);
+                           missing[i].digest, results[i].stats);
         }
         ++simulated_;
         // The finished result clears any provisional watchdog
         // quarantine applied while this cell was stuck in flight.
         quarantine_.erase(missing[i].key);
-        cache_.emplace(missing[i].key, std::move(results[i]));
+        cache_.emplace(missing[i].key, std::move(results[i].stats));
     }
 }
 

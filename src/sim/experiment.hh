@@ -36,12 +36,17 @@
  * re-simulating, which is what makes an interrupted sweep resumable
  * (--cache-dir/--resume in the tools).
  *
+ * Every cell, in a sweep or alone, first attempt or retry, runs on
+ * the batched engine (sim/batched.hh): a group of cells sharing a
+ * workload and a front-end fingerprint is one streaming front-end
+ * pass feeding all their back-end window engines.
+ *
  * Fault containment: a cell whose simulation throws no longer kills
- * the whole sweep.  The worker retries it up to kCellAttempts times
- * (a transient fault recovers invisibly), then quarantines it; every
- * other cell completes bit-identical to a serial run, and stats() for
- * a quarantined cell throws CellQuarantined instead of returning
- * garbage or silently re-running a known-bad simulation.
+ * the whole sweep.  The worker retries it alone up to kCellAttempts
+ * times (a transient fault recovers invisibly), then quarantines it;
+ * every other cell completes bit-identical to a serial run, and
+ * stats() for a quarantined cell throws CellQuarantined instead of
+ * returning garbage or silently re-running a known-bad simulation.
  */
 
 #ifndef DDSC_SIM_EXPERIMENT_HH
@@ -59,6 +64,7 @@
 #include "core/config.hh"
 #include "core/scheduler.hh"
 #include "core/sched_stats.hh"
+#include "sim/batched.hh"
 #include "sim/result_store.hh"
 #include "sim/trace_store.hh"
 #include "support/cancel.hh"
@@ -134,25 +140,23 @@ class ExperimentDriver
     void setInterruptible(bool on) { interruptible_ = on; }
 
     /**
-     * Batched prefetch (default on): missing cells that share a
+     * Grouped prefetch (default on): missing cells that share a
      * workload and a front-end fingerprint are simulated as one group
      * — a single streaming SpecFrontEnd pass feeding all their
-     * back-end window engines (sim/batched.hh) — instead of one full
-     * front-end replay per cell.  The paper matrix needs two passes
-     * per workload ({A, C, E} and {B, D}) to cover all 25 cells.
-     * Per-cell results are bit-identical either way (wallNanos
-     * excepted); tests/batched_equiv_test.cpp holds the driver to
-     * that.  A cell that fails inside its group falls back to the
-     * per-cell path for its remaining attempts, so fault containment
-     * and quarantine behave exactly as before.  setBatched(false)
-     * restores the historical cell-at-a-time path (the benchmark's
-     * event-engine baseline uses this).
+     * back-end window engines — instead of one front-end pass per
+     * cell.  The paper matrix needs two passes per workload
+     * ({A, C, E} and {B, D}) to cover all 25 cells.  setBatched(false)
+     * makes every cell its own group on the same engine; per-cell
+     * results are bit-identical either way (wallNanos excepted).  No
+     * tool or server sets it; it survives for perfbench's digest
+     * emitter (`ddsc-perfbench --emit-digests`), which calls
+     * setBatched(false).
      */
     void setBatched(bool on) { batched_ = on; }
     bool batched() const { return batched_; }
 
     /** Times a cell simulation is attempted before quarantine. */
-    static constexpr unsigned kCellAttempts = 3;
+    static constexpr unsigned kCellAttempts = ddsc::kCellAttempts;
 
     /**
      * Plug in a persistent result cache (nullptr detaches).  Not
@@ -338,38 +342,6 @@ class ExperimentDriver
      *  lock; this takes mutex_ itself. */
     std::string guardKey(const std::string &cache_key,
                          const MachineConfig &config);
-
-    /** Run one cell over a fresh cursor (no caching, no locking).
-     *  @p token is polled by the scheduler at chunk granularity;
-     *  unwinds with support::CancelledError when it fires. */
-    SchedStats runCell(const SharedTrace &trace,
-                       const MachineConfig &config,
-                       const support::CancelToken &token) const;
-
-    /** runCell plus the "cell-throw"/"cell-stall" fault-injection
-     *  hooks (@p key is the hook's tag, e.g. "li/D/16").  The
-     *  injected stall sleeps in slices so a firing @p token
-     *  interrupts it — the watchdog's active cancel must be able to
-     *  reclaim exactly the flights that are stuck. */
-    SchedStats runCellChecked(const std::string &key,
-                              const SharedTrace &trace,
-                              const MachineConfig &config,
-                              const support::CancelToken &token) const;
-
-    /** Try a cell up to kCellAttempts times, starting the count at
-     *  @p first_attempt (the batched path burns attempt 1 inside its
-     *  group and retries here from 2).  True with @p out filled on
-     *  success; false with @p failure describing the last error when
-     *  every attempt threw.  A firing @p token is *not* a failure:
-     *  support::CancelledError propagates out immediately without
-     *  consuming attempts (the same budget would just cancel again).
-     *  Thread-safe (touches no driver state). */
-    bool attemptCell(const std::string &key,
-                     const SharedTrace &trace,
-                     const MachineConfig &config, SchedStats &out,
-                     CellFailure &failure,
-                     unsigned first_attempt = 1,
-                     const support::CancelToken &token = {}) const;
 
     /** The shared worker pool, created on first use with jobs_
      *  threads.  Persistent across prefetch() calls so concurrent

@@ -15,15 +15,21 @@
  *   trace-close-fail        TraceFileWriter::close, at the final
  *                           fflush — models ENOSPC/EIO surfacing only
  *                           when buffered bytes hit the disk
- *   cell-throw              the experiment prefetch worker / sim sweep,
- *                           before running one matrix cell
+ *   cell-throw              runBatchedGroup (every driver and
+ *                           ddsc-sim cell runs there), once per chunk
+ *                           fed to a cell and once at its final drain
  *   checkpoint-torn-write   ResultStore::append: writes a partial
  *                           record then dies, simulating a mid-write
  *                           kill
- *   cell-stall              same hook as cell-throw, but sleeps the
- *                           worker 400 ms instead of throwing — the
- *                           serving deadline/single-flight tests use
- *                           it to hold a cell in flight
+ *   cell-stall              same hook as cell-throw, but sleeps
+ *                           $DDSC_FAULT_STALL_MS (default 400 ms) per
+ *                           firing instead of throwing, in 20 ms
+ *                           slices that poll the cell's cancel token —
+ *                           the serving deadline/single-flight tests
+ *                           use it to hold a cell in flight.  A tag
+ *                           spec fires on every chunk, so a persistent
+ *                           stall on test-scale li (35k records, four
+ *                           firings) lasts about 1.6 s
  *   net-torn-frame          net::writeFrame: sends only a prefix of
  *                           the frame and reports failure, as if the
  *                           writer died mid-send

@@ -13,7 +13,7 @@
  * its batched siblings, and re-runs cleanly to bit-identical stats on
  * the next uncancelled ask.  An in-flight cancellation interrupts the
  * simulation at poll granularity, bounded well below the cell's
- * remaining run time.
+ * remaining run time, through stats() and prefetch() alike.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +23,7 @@
 #include <thread>
 
 #include "core/sched_stats.hh"
+#include "naive_oracle.hh"
 #include "sim/experiment.hh"
 #include "sim/matrix_query.hh"
 #include "support/cancel.hh"
@@ -208,6 +209,30 @@ TEST_F(CancelDriverTest, MidFlightCancelInterruptsPromptly)
     EXPECT_EQ(driver_.quarantineCount(), 0u);
 }
 
+TEST_F(CancelDriverTest, CancelInterruptsAStalledPrefetch)
+{
+    // The same bound through prefetch(), the path every sweep takes:
+    // the injected stall fires inside the batched group and must poll
+    // the cell's token too, not sleep its whole 400 ms.
+    support::faultArm("cell-stall:li/B/4");
+    driver_.trace(*spec_);      // trace generation is not the cell
+    CancelToken token = CancelToken::make();
+    std::thread canceller([&]() {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        token.cancel("impatient test");
+    });
+    const auto t0 = std::chrono::steady_clock::now();
+    driver_.prefetch({{spec_, 'B', 4}}, {token});
+    const auto elapsed =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            std::chrono::steady_clock::now() - t0)
+            .count();
+    canceller.join();
+    EXPECT_LT(elapsed, 350) << "cancel did not interrupt the stall";
+    EXPECT_FALSE(driver_.cellResolved(*spec_, 'B', 4));
+    EXPECT_EQ(driver_.quarantineCount(), 0u);
+}
+
 TEST_F(CancelDriverTest, BatchedSiblingSurvivesACancelledCell)
 {
     // Two cells of one batched front-end group (same workload, same
@@ -227,12 +252,11 @@ TEST_F(CancelDriverTest, BatchedSiblingSurvivesACancelledCell)
     EXPECT_TRUE(driver_.cellResolved(*spec_, 'D', 8));
     EXPECT_EQ(driver_.quarantineCount(), 0u);
 
-    // The cancelled cell re-runs cleanly — and bit-identical to an
-    // untouched driver's answer, proving no partial state leaked.
-    ExperimentDriver fresh(0, /*test_scale=*/true, /*jobs=*/1);
-    fresh.setBatched(false);    // cross-engine oracle
+    // The cancelled cell re-runs cleanly — and bit-identical to the
+    // naive engine's answer, proving no partial state leaked.
     EXPECT_EQ(encoded(driver_.stats(*spec_, 'D', 4)),
-              encoded(fresh.stats(*spec_, 'D', 4)));
+              encoded(test::naiveCell(driver_.trace(*spec_),
+                                      MachineConfig::paper('D', 4))));
 }
 
 TEST_F(CancelDriverTest, CellDurableFlipsOnceResolved)

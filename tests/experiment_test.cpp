@@ -15,6 +15,7 @@
 #include <string>
 #include <thread>
 
+#include "naive_oracle.hh"
 #include "sim/experiment.hh"
 #include "sim/result_store.hh"
 #include "support/fault.hh"
@@ -730,9 +731,9 @@ TEST(Durability, BatchedQuarantineSparesSiblingsOfThePass)
     // Three widths of config A form ONE batched group (same front-end
     // fingerprint), so the poisoned 8-wide cell throws while its
     // siblings are part-way through the very same front-end pass.
-    // The persistent fault also defeats the per-cell retries, so the
+    // The persistent fault also defeats the one-cell retries, so the
     // cell quarantines — and the siblings must still finish
-    // bit-identical to a clean legacy-path driver.
+    // bit-identical to the naive engine.
     const auto dir = scratchStoreDir("exp-store-batched-quarantine");
     const WorkloadSpec &spec = findWorkload("espresso");
     ScopedFault fault("cell-throw:espresso/A/8");
@@ -750,12 +751,11 @@ TEST(Durability, BatchedQuarantineSparesSiblingsOfThePass)
     EXPECT_THROW(d.stats(spec, 'A', 8), CellQuarantined);
     EXPECT_EQ(store.size(), 2u);    // only the survivors persisted
 
-    ExperimentDriver clean(4000, /*test_scale=*/true, 1);
-    clean.setBatched(false);
-    EXPECT_EQ(encodedSansWall(d.stats(spec, 'A', 4)),
-              encodedSansWall(clean.stats(spec, 'A', 4)));
-    EXPECT_EQ(encodedSansWall(d.stats(spec, 'A', 16)),
-              encodedSansWall(clean.stats(spec, 'A', 16)));
+    for (const unsigned width : {4u, 16u})
+        EXPECT_EQ(encodedSansWall(d.stats(spec, 'A', width)),
+                  encodedSansWall(test::naiveCell(
+                      d.trace(spec), MachineConfig::paper('A', width))))
+            << width;
 }
 
 TEST(Durability, BatchedResumeAfterPartialSweepIsByteIdentical)
@@ -764,7 +764,7 @@ TEST(Durability, BatchedResumeAfterPartialSweepIsByteIdentical)
     // with one cell of the group poisoned, leaving the survivors
     // checkpointed.  A fresh driver over the same store resumes,
     // re-simulates only the missing cell, and every cell's encoded
-    // bytes match a clean legacy-path run.
+    // bytes match the naive engine's.
     const auto dir = scratchStoreDir("exp-store-batched-resume");
     const WorkloadSpec &spec = findWorkload("espresso");
     const std::vector<ExperimentCell> cells = {
@@ -788,13 +788,12 @@ TEST(Durability, BatchedResumeAfterPartialSweepIsByteIdentical)
     EXPECT_TRUE(d.quarantineReport().empty());
     EXPECT_EQ(store.size(), 3u);
 
-    ExperimentDriver clean(4000, /*test_scale=*/true, 1);
-    clean.setBatched(false);
     for (const ExperimentCell &cell : cells)
         EXPECT_EQ(encodedSansWall(d.stats(spec, cell.config,
                                           cell.width)),
-                  encodedSansWall(clean.stats(spec, cell.config,
-                                              cell.width)))
+                  encodedSansWall(test::naiveCell(
+                      d.trace(spec),
+                      MachineConfig::paper(cell.config, cell.width))))
             << cell.config << "/" << cell.width;
 }
 

@@ -5,8 +5,8 @@
  * Usage:
  *   ddsc-matrix [--set all|pc|npc] [--configs ABCDEFG] [--widths 4,8,16]
  *               [--metric ipc|speedup|collapsed] [--csv] [--jobs N]
- *               [--cache-dir DIR] [--resume] [--batched|--no-batched]
- *               [--trace-dir DIR] [--list-configs] [--version]
+ *               [--cache-dir DIR] [--resume] [--trace-dir DIR]
+ *               [--list-configs] [--version]
  *
  * Examples:
  *   ddsc-matrix --set pc --configs BDE --metric speedup
@@ -17,8 +17,11 @@
  *
  * All requested cells are simulated concurrently on --jobs worker
  * threads (default $DDSC_JOBS or the hardware concurrency) before the
- * table is printed; results are bit-identical to --jobs 1.
- * DDSC_TRACE_LIMIT truncates traces as everywhere else.
+ * table is printed; results are bit-identical to --jobs 1.  Cells of
+ * a workload whose front-end knobs agree share one streaming
+ * decode/predict pass feeding every width's window engine (see
+ * docs/simulator.md).  DDSC_TRACE_LIMIT truncates traces as
+ * everywhere else.
  *
  * --trace-dir DIR spills each workload's trace once to a DDSCTRC v4
  * file under DIR and sweeps it through mmap'd zero-copy cursors, so a
@@ -31,12 +34,6 @@
  *
  * --cache-dir DIR (or $DDSC_CACHE_DIR) persists every finished cell to
  * DIR/results.ddsc.  Reusing a non-empty cache requires --resume, so a
- * The driver batches by default: cells of a workload whose front-end
- * knobs agree share one streaming decode/predict pass feeding every
- * width's window engine (bit-identical results; see
- * docs/simulator.md).  --no-batched falls back to the historical
- * one-cell-at-a-time path, e.g. to time it or to bisect a divergence.
- *
  * stale directory is never picked up by accident.  A cell whose
  * simulation keeps failing is quarantined: the rest of the matrix
  * completes, the cell prints as "n/a", the failure summary names it on
@@ -79,9 +76,8 @@ usage()
         "                   [--widths 4,8,...] "
         "[--metric ipc|speedup|collapsed] [--csv] [--jobs N]\n"
         "                   [--cache-dir DIR] [--resume] "
-        "[--batched|--no-batched]\n"
-        "                   [--trace-dir DIR] [--list-configs] "
-        "[--version]\n");
+        "[--trace-dir DIR]\n"
+        "                   [--list-configs] [--version]\n");
     std::exit(2);
 }
 
@@ -138,7 +134,6 @@ main(int argc, char **argv)
     if (const char *env = std::getenv("DDSC_CACHE_DIR"))
         cache_dir = env;
     bool resume = false;
-    bool batched = true;
     std::string trace_dir;
 
     for (int i = 1; i < argc; ++i) {
@@ -168,10 +163,6 @@ main(int argc, char **argv)
             trace_dir = value();
         } else if (arg == "--resume") {
             resume = true;
-        } else if (arg == "--batched") {
-            batched = true;
-        } else if (arg == "--no-batched") {
-            batched = false;
         } else if (arg == "--list-configs") {
             listConfigs();
         } else if (arg == "--version") {
@@ -199,7 +190,6 @@ main(int argc, char **argv)
     if (jobs != 0)
         driver.setJobs(jobs);
     driver.setInterruptible(true);
-    driver.setBatched(batched);
     if (!trace_dir.empty())
         driver.setTraceDir(trace_dir);
 

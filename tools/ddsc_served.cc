@@ -13,7 +13,7 @@
  *               [--max-active N] [--queue-depth N]
  *               [--per-conn-inflight N]
  *               [--brownout|--no-brownout] [--cancel-stalled-ms N]
- *               [--batched|--no-batched] [--version]
+ *               [--version]
  *
  * Examples:
  *   ddsc-served --port 7411 --cache-dir /var/tmp/ddsc
@@ -75,9 +75,8 @@
  * Residency counters show up in the health probe (ddsc-client
  * --health).
  *
- * Sweeps batch by default: same-fingerprint cells of a workload share
- * one streaming front-end pass (served bytes are bit-identical either
- * way).  --no-batched restores the one-cell-at-a-time engine.
+ * Same-fingerprint cells of a workload share one streaming front-end
+ * pass, exactly as in ddsc-matrix, so served bytes equal its output.
  *
  * --fleet K runs the sharded serving fleet instead of one server: K
  * crash-only shards (each one of these processes, exec'd with --port
@@ -137,8 +136,7 @@ usage()
         "                   [--max-active N] [--queue-depth N]\n"
         "                   [--per-conn-inflight N]\n"
         "                   [--brownout|--no-brownout]\n"
-        "                   [--cancel-stalled-ms N]\n"
-        "                   [--batched|--no-batched] [--version]\n");
+        "                   [--cancel-stalled-ms N] [--version]\n");
     std::exit(2);
 }
 
@@ -443,10 +441,6 @@ main(int argc, char **argv)
             opts.admission.brownout = true;
         } else if (arg == "--no-brownout") {
             opts.admission.brownout = false;
-        } else if (arg == "--batched") {
-            opts.batched = true;
-        } else if (arg == "--no-batched") {
-            opts.batched = false;
         } else if (arg == "--supervise") {
             do_supervise = true;
         } else if (arg == "--fleet") {

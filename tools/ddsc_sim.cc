@@ -28,16 +28,16 @@
  *   --resume          reuse an existing cache: configs whose stored
  *                     fingerprint and trace digest still match are
  *                     served from disk instead of re-simulated
- *   --batched         share one front-end pass among configs whose
- *                     front-end knobs agree (default; bit-identical)
- *   --no-batched      simulate every config with its own full pass
  *   --list-configs    print every known configuration letter with its
  *                     speculation-module stack and fingerprint, exit
  *   --version         print format/schema versions and exit
  *
- * A config whose simulation keeps throwing is contained: the other
- * configs of the sweep still run and print, the failure summary names
- * the bad cell on stderr, and the exit status is 1.
+ * Configs whose front-end knobs agree share one front-end pass (the
+ * paper's ABDE sweep decodes the trace twice, not four times).  A
+ * config whose simulation keeps throwing is contained: it is retried
+ * alone, the other configs of the sweep still run and print, the
+ * failure summary names the bad cell on stderr, and the exit status
+ * is 1.
  *
  * Ctrl-C (or SIGTERM) during a sweep is cooperative: configs that
  * already finished are still persisted to the attached cache
@@ -61,7 +61,6 @@
 #include "trace/mapped.hh"
 #include "sim/batched.hh"
 #include "sim/result_store.hh"
-#include "support/fault.hh"
 #include "support/logging.hh"
 #include "support/shutdown.hh"
 #include "support/thread_pool.hh"
@@ -82,8 +81,7 @@ usage()
         "                [--scale N] [--config A..G ...] [--width N]\n"
         "                [--elim] [--addrpred twodelta|lastvalue|context]\n"
         "                [--limit N] [--jobs N] [--cache-dir DIR]\n"
-        "                [--resume] [--batched|--no-batched]\n"
-        "                [--list-configs] [--version]\n");
+        "                [--resume] [--list-configs] [--version]\n");
     std::exit(2);
 }
 
@@ -195,7 +193,6 @@ main(int argc, char **argv)
     if (const char *env = std::getenv("DDSC_CACHE_DIR"))
         cache_dir = env;
     bool resume = false;
-    bool batched = true;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -248,10 +245,6 @@ main(int argc, char **argv)
             cache_dir = value();
         } else if (arg == "--resume") {
             resume = true;
-        } else if (arg == "--batched") {
-            batched = true;
-        } else if (arg == "--no-batched") {
-            batched = false;
         } else if (arg == "--list-configs") {
             listConfigs(width);
         } else if (arg == "--version") {
@@ -386,7 +379,6 @@ main(int argc, char **argv)
         bool ok = false;
         bool fromStore = false;
         std::string error;
-        unsigned attempts = 0;
     };
     std::vector<CellRun> runs;
     for (const char c : config_ids) {
@@ -405,91 +397,43 @@ main(int argc, char **argv)
         runs.push_back(std::move(run));
     }
 
-    // Run every machine over a private read-only cursor, in parallel.
+    // Group pending configs by front-end fingerprint: each group is
+    // one streaming decode/predict pass over a private read-only
+    // cursor, feeding all its window engines; groups run in parallel.
     // Results print in the order the configs were given regardless of
-    // which finished first.  A throwing config is retried, then
+    // which finished first.  A throwing config is retried alone, then
     // reported — it never takes the rest of the sweep down.
-    constexpr unsigned kAttempts = 3;
-
-    if (batched) {
-        // Group pending configs by front-end fingerprint: each group
-        // is one streaming decode/predict pass feeding all its window
-        // engines (the paper's ABDE sweep costs two passes, not
-        // four).  A config that fails inside its group falls through
-        // to the per-cell loop below with the attempt count continued,
-        // so transient faults recover and persistent ones quarantine
-        // exactly as on the legacy path.
-        std::vector<std::vector<std::size_t>> groups;
-        for (std::size_t i = 0; i < runs.size(); ++i) {
-            if (runs[i].fromStore)
-                continue;
-            const std::string fp = runs[i].config.frontEndFingerprint();
-            std::size_t g = 0;
-            while (g < groups.size() &&
-                   runs[groups[g][0]].config.frontEndFingerprint() != fp)
-                ++g;
-            if (g == groups.size())
-                groups.emplace_back();
-            groups[g].push_back(i);
-        }
-        support::parallelFor(groups.size(), jobs, [&](std::size_t g) {
-            if (support::shutdownRequested())
-                return;
-            std::vector<MachineConfig> configs;
-            std::vector<std::string> keys;
-            for (const std::size_t i : groups[g]) {
-                configs.push_back(runs[i].config);
-                keys.push_back(runs[i].key);
-            }
-            const BatchedGroupResult out =
-                runBatchedGroup(*shared, configs, keys);
-            for (std::size_t k = 0; k < groups[g].size(); ++k) {
-                CellRun &run = runs[groups[g][k]];
-                if (out.cells[k].ok) {
-                    run.stats = out.cells[k].stats;
-                    run.ok = true;
-                } else {
-                    run.error = out.cells[k].error;
-                    run.attempts = 1;
-                    warn("config %s failed (attempt 1 of %u): %s",
-                         run.key.c_str(), kAttempts,
-                         run.error.c_str());
-                }
-            }
-        });
+    std::vector<std::vector<std::size_t>> groups;
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        if (runs[i].fromStore)
+            continue;
+        const std::string fp = runs[i].config.frontEndFingerprint();
+        std::size_t g = 0;
+        while (g < groups.size() &&
+               runs[groups[g][0]].config.frontEndFingerprint() != fp)
+            ++g;
+        if (g == groups.size())
+            groups.emplace_back();
+        groups[g].push_back(i);
     }
-
-    support::parallelFor(runs.size(), jobs, [&](std::size_t i) {
-        CellRun &run = runs[i];
-        if (run.fromStore || run.ok)
-            return;
+    support::parallelFor(groups.size(), jobs, [&](std::size_t g) {
         if (support::shutdownRequested())
             return;     // interrupted: skip configs not yet started
-        for (unsigned attempt = run.attempts + 1; attempt <= kAttempts;
-             ++attempt) {
-            try {
-                if (support::faultShouldFire("cell-throw",
-                                             run.key.c_str())) {
-                    throw std::runtime_error(
-                        "injected fault: cell-throw at '" + run.key +
-                        "'");
-                }
-                const std::unique_ptr<TraceSource> view =
-                    shared->cursor();
-                LimitScheduler scheduler(run.config);
-                run.stats = scheduler.run(*view);
-                run.ok = true;
-                return;
-            } catch (const std::exception &e) {
-                run.error = e.what();
-                run.attempts = attempt;
-            } catch (...) {
-                run.error = "unknown exception";
-                run.attempts = attempt;
-            }
-            warn("config %s failed (attempt %u of %u): %s",
-                 run.key.c_str(), attempt, kAttempts,
-                 run.error.c_str());
+        std::vector<MachineConfig> configs;
+        std::vector<std::string> keys;
+        for (const std::size_t i : groups[g]) {
+            configs.push_back(runs[i].config);
+            keys.push_back(runs[i].key);
+        }
+        const BatchedGroupResult out =
+            runBatchedGroupWithRetry(*shared, configs, keys);
+        for (std::size_t k = 0; k < groups[g].size(); ++k) {
+            CellRun &run = runs[groups[g][k]];
+            run.ok = out.cells[k].ok;
+            if (run.ok)
+                run.stats = out.cells[k].stats;
+            else
+                run.error = out.cells[k].error;
         }
     });
 
@@ -543,7 +487,7 @@ main(int argc, char **argv)
             if (!run.ok) {
                 std::fprintf(stderr, "  %s: %s (after %u attempts)\n",
                              run.key.c_str(), run.error.c_str(),
-                             run.attempts);
+                             kCellAttempts);
             }
         }
         return 1;
