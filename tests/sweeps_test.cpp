@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "addrpred/addrpred.hh"
 #include "bpred/bpred.hh"
 #include "collapse/rules.hh"
@@ -68,11 +71,18 @@ INSTANTIATE_TEST_SUITE_P(Sizes, BpredGeometry,
 
 // --- address predictors across strides ---------------------------------
 
+// gtest names each instance after the raw bytes of its parameter, so
+// the struct has no implicit padding: padding would carry stack bytes
+// into the test names and make them differ from run to run.
 struct StrideCase
 {
+    StrideCase(AddrPredKind k, std::int64_t s) : kind(k), stride(s) {}
+
     AddrPredKind kind;
+    std::uint32_t unused = 0;
     std::int64_t stride;
 };
+static_assert(std::has_unique_object_representations_v<StrideCase>);
 
 class StrideLearning : public testing::TestWithParam<StrideCase>
 {
