@@ -50,6 +50,15 @@ class CollapseStats
     /** Note that an instruction became a member of >= 1 group. */
     void noteCollapsedInstruction() { ++collapsedInstructions_; }
 
+    /** Set the Figure 8 count outright: the one collapse field a
+     *  fleet per-cell summary carries (decodeCellSummary in
+     *  sim/matrix_query.hh), so every other field stays zero. */
+    void
+    setCollapsedInstructions(std::uint64_t n)
+    {
+        collapsedInstructions_ = n;
+    }
+
     /** Total events. */
     std::uint64_t events() const { return events_; }
 

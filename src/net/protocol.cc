@@ -1,23 +1,12 @@
 #include "protocol.hh"
 
 #include "sim/matrix_query.hh"
-#include "sim/result_store.hh"
 #include "socket.hh"
 #include "support/fault.hh"
 #include "support/version.hh"
 
 namespace ddsc::net
 {
-
-namespace
-{
-
-/** Length-prefixed lists in fleet frames are capped so a corrupted
- *  count can never become a giant allocation (matches the matrix
- *  codecs' cap). */
-constexpr std::uint32_t kMaxCells = 4096;
-
-} // anonymous namespace
 
 bool
 knownMsgType(std::uint8_t type)
@@ -205,15 +194,30 @@ CellsBatch::decode(support::wire::Reader &in)
 }
 
 void
+CellOutcome::encodeOk(std::string &out, const CellRef &cell,
+                      const SchedStats &stats)
+{
+    cell.encode(out);
+    support::wire::putU8(out, 1);
+    encodeCellSummary(out, stats);
+}
+
+void
+CellOutcome::encodeFailed(std::string &out, const CellRef &cell,
+                          const CellFailure &failure)
+{
+    cell.encode(out);
+    support::wire::putU8(out, 0);
+    encodeCellFailure(out, failure);
+}
+
+void
 CellOutcome::encode(std::string &out) const
 {
-    using namespace support::wire;
-    cell.encode(out);
-    putU8(out, ok);
     if (ok)
-        encodeSchedStats(out, stats);
+        encodeOk(out, cell, stats);
     else
-        encodeCellFailure(out, failure);
+        encodeFailed(out, cell, failure);
 }
 
 bool
@@ -225,17 +229,26 @@ CellOutcome::decode(support::wire::Reader &in)
     if (!in.ok())
         return false;
     if (ok)
-        return decodeSchedStats(in, stats);
+        return decodeCellSummary(in, stats);
     return decodeCellFailure(in, failure);
 }
 
 void
 CellsReplyMsg::encode(std::string &out) const
 {
+    encode(out, cells.size(), [this](std::size_t i, std::string &o) {
+        cells[i].encode(o);
+    });
+}
+
+void
+CellsReplyMsg::encode(std::string &out, std::size_t n,
+                      const CellWriter &cell) const
+{
     using namespace support::wire;
-    putU32(out, static_cast<std::uint32_t>(cells.size()));
-    for (const CellOutcome &cell : cells)
-        cell.encode(out);
+    putU32(out, static_cast<std::uint32_t>(n));
+    for (std::size_t i = 0; i < n; ++i)
+        cell(i, out);
     putU64(out, simulated);
     putU64(out, storeHits);
     putU64(out, coalesced);

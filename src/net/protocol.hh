@@ -36,6 +36,7 @@
 #define DDSC_NET_PROTOCOL_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -57,6 +58,11 @@ constexpr std::uint32_t kMaxFramePayload = 16u << 20;
 /** Bytes before the payload: magic + type + length + crc. */
 constexpr std::size_t kFrameHeaderSize = 13;
 
+/** Length-prefixed lists in fleet frames are capped so a corrupted
+ *  count is rejected before it can become a giant allocation
+ *  (matches the matrix codecs' cap). */
+constexpr std::uint32_t kMaxCells = 4096;
+
 enum class MsgType : std::uint8_t
 {
     Hello = 1,          ///< client -> server: version handshake
@@ -71,7 +77,8 @@ enum class MsgType : std::uint8_t
     HealthRequest = 10, ///< client -> server: readiness probe
     HealthReply = 11,   ///< server -> client: HealthInfo
     CellsRequest = 12,  ///< router -> shard: resolve a cell batch
-    CellsReply = 13,    ///< shard -> router: per-cell stats/failures
+    CellsReply = 13,    ///< shard -> router: per-cell summaries or
+                        ///< failures
 };
 
 /** True for type bytes this protocol version defines. */
@@ -189,9 +196,10 @@ struct CellRef
  * CellsRequest payload: the router's fan-out unit.  A shard resolves
  * the batch through its single-flight registry exactly like a
  * MatrixRequest's cell set — same store, same watchdog, same
- * quarantine semantics — but replies with raw per-cell SchedStats
- * instead of an aggregated grid, so the router can merge columns
- * owned by different shards into one byte-identical MatrixResult.
+ * quarantine semantics — but replies with a per-cell summary
+ * (encodeCellSummary) instead of an aggregated grid, so the router can
+ * merge columns owned by different shards into one byte-identical
+ * MatrixResult.
  */
 struct CellsBatch
 {
@@ -207,8 +215,17 @@ struct CellsBatch
     bool decode(support::wire::Reader &in);
 };
 
-/** One resolved cell in a CellsReply: stats on success, a typed
- *  failure (quarantine) otherwise. */
+/**
+ * One resolved cell in a CellsReply: stats on success, a typed
+ * failure (quarantine) otherwise.
+ *
+ * Since DDSN v6 an ok cell crosses the wire as its summary
+ * (encodeCellSummary in sim/matrix_query.hh): the fields
+ * aggregateMatrixResult() reads, not the whole record.  So after
+ * decode(), `stats` holds only instructions, cycles,
+ * collapse.collapsedInstructions() and wallNanos; every histogram,
+ * signature map and other counter is zero.
+ */
 struct CellOutcome
 {
     CellRef cell;
@@ -218,6 +235,15 @@ struct CellOutcome
 
     void encode(std::string &out) const;
     bool decode(support::wire::Reader &in);
+
+    /** What encode() writes for an ok cell with @p stats, without a
+     *  CellOutcome: a shard encodes straight from its driver's
+     *  cached record instead of copying it. */
+    static void encodeOk(std::string &out, const CellRef &cell,
+                         const SchedStats &stats);
+    /** What encode() writes for a failed cell. */
+    static void encodeFailed(std::string &out, const CellRef &cell,
+                             const CellFailure &failure);
 };
 
 /** CellsReply payload. */
@@ -232,6 +258,16 @@ struct CellsReplyMsg
 
     void encode(std::string &out) const;
     bool decode(support::wire::Reader &in);
+
+    /** Appends cell @p i of a reply being encoded. */
+    using CellWriter = std::function<void(std::size_t i, std::string &out)>;
+
+    /** encode() with this message's counters around @p n cells that
+     *  @p cell writes (through CellOutcome::encodeOk/encodeFailed)
+     *  instead of `cells`: the shard's path, which builds no
+     *  CellOutcome at all. */
+    void encode(std::string &out, std::size_t n,
+                const CellWriter &cell) const;
 };
 
 /** Per-shard slice of an aggregated fleet health reply. */

@@ -388,19 +388,21 @@ Router::routeMatrix(const MatrixQuery &query,
     // Index the shard answers by cell key; anything a shard failed
     // (or never answered) becomes a typed per-cell failure that
     // aggregates as n/a — the quarantine semantics, one level up.
+    // The decoded stats are per-cell summaries: exactly the fields
+    // aggregateMatrixResult reads.
     std::map<std::string, SchedStats> stats;
     std::map<std::string, CellFailure> failed;
     for (std::size_t i = 0; i < K; ++i) {
-        const ShardOutcome &out = outcomes[i];
+        ShardOutcome &out = outcomes[i];
         if (batches[i].cells.empty())
             continue;
         if (out.hasReply) {
-            for (const net::CellOutcome &cell : out.reply.cells) {
+            for (net::CellOutcome &cell : out.reply.cells) {
                 const std::string key = cellRefKey(cell.cell);
                 if (cell.ok)
-                    stats.emplace(key, cell.stats);
+                    stats.emplace(key, std::move(cell.stats));
                 else
-                    failed.emplace(key, cell.failure);
+                    failed.emplace(key, std::move(cell.failure));
             }
         } else {
             for (const net::CellRef &ref : batches[i].cells) {

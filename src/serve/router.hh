@@ -1,7 +1,7 @@
 /**
  * @file
  * The fleet router: one DDSN front-end fanning matrix requests out to
- * K crash-isolated server shards and merging their raw per-cell stats
+ * K crash-isolated server shards and merging their per-cell summaries
  * into replies byte-identical to a single fresh ddsc-matrix run.
  *
  * Topology: each shard owns a deterministic slice of the experiment
@@ -16,10 +16,12 @@
  * each shard's own single-flight registry, watchdog, and store.
  *
  * Byte-identity: the router never aggregates on its own — it feeds
- * the shard-returned SchedStats through the very
+ * the shard-returned per-cell summaries (encodeCellSummary: the
+ * SchedStats fields the merge reads) through the very
  * aggregateMatrixResult() that runMatrixQuery() uses locally, so a
  * routed sweep and a local sweep render identical bytes by
- * construction (tests/router_test.cpp holds it to that).
+ * construction (tests/router_test.cpp holds it to that, and its
+ * summary oracle checks every metric against full records).
  *
  * Degraded modes, per shard:
  *  - dead or restarting (its supervisor is between generations): the

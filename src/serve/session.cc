@@ -306,24 +306,25 @@ Session::handleCells(const net::Frame &frame)
                              "sweep did not resolve every cell");
     }
 
+    // Each ok cell is encoded straight from the driver's cached
+    // record: only its summary crosses the wire, so nothing is copied.
     net::CellsReplyMsg msg;
-    msg.cells.reserve(cells.size());
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        net::CellOutcome out;
-        out.cell = batch.cells[i];
-        try {
-            out.stats = driver.stats(*cells[i].spec, cells[i].config,
-                                     cells[i].width);
-            out.ok = 1;
-        } catch (const CellQuarantined &e) {
-            out.ok = 0;
-            out.failure = e.failure;
-        }
-        msg.cells.push_back(std::move(out));
-    }
     msg.simulated = driver.simulatedCells() - sims0;
     msg.storeHits = driver.storeHits() - hits0;
     msg.coalesced = outcome.coalesced;
+    std::string payload;
+    msg.encode(payload, cells.size(),
+               [&](std::size_t i, std::string &out) {
+                   try {
+                       net::CellOutcome::encodeOk(
+                           out, batch.cells[i],
+                           driver.stats(*cells[i].spec, cells[i].config,
+                                        cells[i].width));
+                   } catch (const CellQuarantined &e) {
+                       net::CellOutcome::encodeFailed(
+                           out, batch.cells[i], e.failure);
+                   }
+               });
 
     if (support::faultShouldFire("net-disconnect")) {
         // Same mid-response hang-up as handleMatrix: the router sees
@@ -333,8 +334,6 @@ Session::handleCells(const net::Frame &frame)
         return false;
     }
 
-    std::string payload;
-    msg.encode(payload);
     if (!reply(net::MsgType::CellsReply, payload))
         return false;
     server_.countRequest();

@@ -384,7 +384,8 @@ std::uint64_t envTraceLimit();
  * Per-cell stats access for the aggregation helpers below: return the
  * stats for (workload, config, width) or throw CellQuarantined.  The
  * local path binds ExperimentDriver::stats(); the fleet router binds
- * a lookup over stats shipped back from its shards — both aggregate
+ * a lookup over the per-cell summaries its shards ship back (see
+ * encodeCellSummary in sim/matrix_query.hh) — both aggregate
  * through the same functions, which is what makes a routed sweep
  * byte-identical to a fresh local one.
  */

@@ -1,5 +1,6 @@
 #include "matrix_query.hh"
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
 #include <map>
@@ -28,6 +29,22 @@ getF64(support::wire::Reader &in)
  *  so a corrupted prefix cannot become a giant allocation. */
 constexpr std::uint32_t kMaxListLen = 4096;
 
+bool
+isOneOf(const std::vector<std::string> &names, const std::string &name)
+{
+    return std::find(names.begin(), names.end(), name) != names.end();
+}
+
+/** "a|b|c", as the validation messages spell a choice. */
+std::string
+joined(const std::vector<std::string> &names)
+{
+    std::string out;
+    for (const std::string &name : names)
+        out += (out.empty() ? "" : "|") + name;
+    return out;
+}
+
 } // anonymous namespace
 
 void
@@ -47,6 +64,21 @@ decodeCellFailure(support::wire::Reader &in, CellFailure &f)
     return in.ok();
 }
 
+const std::vector<std::string> &
+MatrixQuery::knownSets()
+{
+    static const std::vector<std::string> sets = {"all", "pc", "npc"};
+    return sets;
+}
+
+const std::vector<std::string> &
+MatrixQuery::knownMetrics()
+{
+    static const std::vector<std::string> metrics = {"ipc", "speedup",
+                                                     "collapsed"};
+    return metrics;
+}
+
 bool
 MatrixQuery::validate(std::string *why) const
 {
@@ -55,8 +87,9 @@ MatrixQuery::validate(std::string *why) const
             *why = reason;
         return false;
     };
-    if (set != "all" && set != "pc" && set != "npc")
-        return fail("set must be all|pc|npc, not '" + set + "'");
+    if (!isOneOf(knownSets(), set))
+        return fail("set must be " + joined(knownSets()) + ", not '" +
+                    set + "'");
     const std::string &known = MachineConfig::knownConfigs();
     if (configs.empty() || configs.size() > known.size())
         return fail("configs must name 1-" +
@@ -73,9 +106,9 @@ MatrixQuery::validate(std::string *why) const
             return fail("width " + std::to_string(w) +
                         " out of range");
     }
-    if (metric != "ipc" && metric != "speedup" && metric != "collapsed")
-        return fail("metric must be ipc|speedup|collapsed, not '" +
-                    metric + "'");
+    if (!isOneOf(knownMetrics(), metric))
+        return fail("metric must be " + joined(knownMetrics()) +
+                    ", not '" + metric + "'");
     return true;
 }
 
@@ -319,6 +352,27 @@ aggregateMatrixResult(const MatrixQuery &query, const CellStatsFn &stats)
     for (const auto &[key, failure] : quarantined)
         result.quarantined.push_back(failure);
     return result;
+}
+
+void
+encodeCellSummary(std::string &out, const SchedStats &s)
+{
+    using namespace support::wire;
+    putU64(out, s.instructions);
+    putU64(out, s.cycles);
+    putU64(out, s.collapse.collapsedInstructions());
+    putU64(out, s.wallNanos);
+}
+
+bool
+decodeCellSummary(support::wire::Reader &in, SchedStats &s)
+{
+    s = SchedStats{};
+    s.instructions = in.u64();
+    s.cycles = in.u64();
+    s.collapse.setCollapsedInstructions(in.u64());
+    s.wallNanos = in.u64();
+    return in.ok();
 }
 
 MatrixResult

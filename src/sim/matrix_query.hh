@@ -44,6 +44,13 @@ struct MatrixQuery
      *  server's cache for the next request. */
     std::uint64_t deadlineMs = 0;
 
+    /** Every set validate() accepts, in ddsc-matrix's --set order. */
+    static const std::vector<std::string> &knownSets();
+
+    /** Every metric validate() accepts, in ddsc-matrix's --metric
+     *  order. */
+    static const std::vector<std::string> &knownMetrics();
+
     /** False (with a reason) when any field is out of range; the
      *  server turns this into a typed BadRequest error. */
     bool validate(std::string *why = nullptr) const;
@@ -123,12 +130,30 @@ bool decodeCellFailure(support::wire::Reader &in, CellFailure &f);
  * where the cells came from.
  *
  * runMatrixQuery() funnels through this with the driver's stats();
- * the fleet router calls it with a lookup over shard-returned stats.
- * One reduction path is what makes a routed sweep byte-identical to a
- * local one.
+ * the fleet router calls it with a lookup over shard-returned cell
+ * summaries (encodeCellSummary below).  One reduction path is what
+ * makes a routed sweep byte-identical to a local one.
  */
 MatrixResult aggregateMatrixResult(const MatrixQuery &query,
                                    const CellStatsFn &stats);
+
+/** Encoded size of one cell summary: four little-endian u64s. */
+constexpr std::size_t kCellSummaryBytes = 32;
+
+/**
+ * Wire codec for one cell's summary: exactly the SchedStats fields
+ * aggregateMatrixResult() reads — instructions, cycles,
+ * collapse.collapsedInstructions() and wallNanos, in that order.  The
+ * fleet CellsReply carries this instead of the whole record, and the
+ * router merges the decoded summaries through the same
+ * aggregateMatrixResult(), so a routed sweep stays byte-identical to
+ * a local one.  decodeCellSummary() resets every other field of @p s
+ * to zero.  A metric that reads another field must add it here;
+ * router_test's summary oracle merges every known metric from full
+ * records and from summaries and fails when the two disagree.
+ */
+void encodeCellSummary(std::string &out, const SchedStats &s);
+bool decodeCellSummary(support::wire::Reader &in, SchedStats &s);
 
 /**
  * Resolve every cell of @p query against @p driver and aggregate.

@@ -44,10 +44,9 @@ constexpr std::uint32_t kFingerprintSchema = 2; ///< v2 added the
 /** '|'-separated fields in MachineConfig::fingerprint(). */
 constexpr unsigned kFingerprintFields = 28;
 
-constexpr std::uint32_t kProtocol = 5;  ///< v5: deadlineMs became a
-                                        ///< decremented end-to-end
-                                        ///< budget, Cancelled replies,
-                                        ///< retryAfterMs on sheds
+constexpr std::uint32_t kProtocol = 6;  ///< v6: CellsReply carries a
+                                        ///< fixed per-cell summary,
+                                        ///< not the whole SchedStats
 
 /** The `--version` banner every CLI tool prints. */
 inline void

@@ -25,6 +25,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -189,6 +190,120 @@ TEST(Router, RoutedByteIdentity)
     const MatrixResult again = client.matrix(query);
     EXPECT_EQ(again.render(true), fresh.render(true));
     EXPECT_EQ(again.summary.simulated, 0u);
+}
+
+/** Routed and fresh local renders of @p query, both forms, agree;
+ *  returns the local result. */
+MatrixResult
+expectRoutedMatchesLocal(net::Client &client, ExperimentDriver &local,
+                         const MatrixQuery &query)
+{
+    const MatrixResult fresh = runMatrixQuery(local, query);
+    const MatrixResult routed = client.matrix(query);
+    EXPECT_EQ(routed.render(true), fresh.render(true))
+        << query.configs << " " << query.metric;
+    EXPECT_EQ(routed.render(false), fresh.render(false))
+        << query.configs << " " << query.metric;
+    EXPECT_TRUE(routed.quarantined.empty());
+    return fresh;
+}
+
+TEST(Router, RoutedCollapsedAndModuleConfigsMatchLocal)
+{
+    FleetFixture fx(3);
+    ExperimentDriver local(0, /*test_scale=*/true, /*jobs=*/2);
+    net::Client client(fx.port());
+
+    // The collapsed metric is the one the summary's collapsed count
+    // exists for; C/D/E are the configs that collapse, so the
+    // values are not all zero.
+    MatrixQuery collapsed;
+    collapsed.configs = "CDE";
+    collapsed.widths = {4, 16};
+    collapsed.metric = "collapsed";
+    const MatrixResult fresh =
+        expectRoutedMatchesLocal(client, local, collapsed);
+    bool collapses = false;
+    for (const double v : fresh.values)
+        collapses = collapses || v > 0.0;
+    EXPECT_TRUE(collapses);
+
+    // The speculation-module configs F/G at a width outside the
+    // paper's, under every metric (speedup pulls in A as well).
+    MatrixQuery modules;
+    modules.configs = "FG";
+    modules.widths = {6};
+    for (const std::string &metric : MatrixQuery::knownMetrics()) {
+        modules.metric = metric;
+        expectRoutedMatchesLocal(client, local, modules);
+    }
+}
+
+TEST(Router, SummaryMergeMatchesFullRecords)
+{
+    // The in-process oracle for the CellsReply summary: every set x
+    // metric over A-G, merged once from the full records and once
+    // from their encode->decode summaries, must render the same bytes.
+    // The metrics are the ones validate() accepts, so a new metric
+    // that reads a field the summary lacks fails here.
+    ExperimentDriver driver(0, /*test_scale=*/true, /*jobs=*/2);
+    MatrixQuery grid;
+    grid.configs = MachineConfig::knownConfigs();
+    const std::vector<ExperimentCell> cells = grid.cells();
+    driver.prefetch(cells);
+
+    auto key = [](const WorkloadSpec &spec, char config,
+                  unsigned width) {
+        return spec.name + "/" + config + "/" + std::to_string(width);
+    };
+    std::map<std::string, SchedStats> summaries;
+    bool lossy = false;
+    for (const ExperimentCell &cell : cells) {
+        const SchedStats &full =
+            driver.stats(*cell.spec, cell.config, cell.width);
+        std::string bytes;
+        encodeCellSummary(bytes, full);
+        ASSERT_EQ(bytes.size(), kCellSummaryBytes);
+        support::wire::Reader in(bytes);
+        SchedStats summary;
+        ASSERT_TRUE(decodeCellSummary(in, summary));
+        EXPECT_EQ(in.remaining(), 0u);
+        lossy = lossy || digestSchedStats(summary) != digestSchedStats(full);
+        summaries.emplace(key(*cell.spec, cell.config, cell.width),
+                          std::move(summary));
+    }
+    // The summaries really are a subset, so the merge below reads
+    // nothing but the four fields.
+    EXPECT_TRUE(lossy);
+
+    const CellStatsFn fromFull =
+        [&driver](const WorkloadSpec &spec, char config,
+                  unsigned width) -> const SchedStats & {
+        return driver.stats(spec, config, width);
+    };
+    const CellStatsFn fromSummary =
+        [&](const WorkloadSpec &spec, char config,
+            unsigned width) -> const SchedStats & {
+        return summaries.at(key(spec, config, width));
+    };
+    for (const std::string &set : MatrixQuery::knownSets()) {
+        for (const std::string &metric : MatrixQuery::knownMetrics()) {
+            MatrixQuery query = grid;
+            query.set = set;
+            query.metric = metric;
+            ASSERT_TRUE(query.validate());
+            const MatrixResult want =
+                aggregateMatrixResult(query, fromFull);
+            const MatrixResult got =
+                aggregateMatrixResult(query, fromSummary);
+            EXPECT_EQ(got.render(true), want.render(true))
+                << set << " " << metric;
+            EXPECT_EQ(got.render(false), want.render(false))
+                << set << " " << metric;
+            EXPECT_EQ(got.summary.cellSeconds, want.summary.cellSeconds)
+                << set << " " << metric;
+        }
+    }
 }
 
 TEST(Router, BrokenShardFailsTypedWhileOthersServe)

@@ -24,6 +24,7 @@
 #include "collapse/collapse_stats.hh"
 #include "core/sched_stats.hh"
 #include "net/protocol.hh"
+#include "sim/matrix_query.hh"
 #include "sim/result_store.hh"
 #include "support/stats.hh"
 #include "support/wire.hh"
@@ -83,6 +84,7 @@ sampleSchedStats()
     stats.valuePredHits = 80;
     stats.valuePredWrong = 20;
     stats.collapse = sampleCollapse();
+    stats.collapse.setCollapsedInstructions(77);
     stats.issuedPerCycle = sampleHistogram();
     stats.wallNanos = 987654321;
     return stats;
@@ -229,9 +231,9 @@ TEST(WireFuzz, RoundTripsStillWork)
     }
 }
 
-// --- DDSN v4 fleet frames -------------------------------------------
+// --- DDSN v4 fleet frames (v6 per-cell summaries) --------------------
 // CellsBatch (router→shard fan-out), CellsReplyMsg (shard→router
-// per-cell stats), and HealthInfo with per-shard entries (router
+// per-cell summaries), and HealthInfo with per-shard entries (router
 // aggregated health) all cross the same trust boundary as the frames
 // above and get the same treatment.
 
@@ -348,6 +350,61 @@ TEST(WireFuzz, CellsReplyByteCorruptionNeverThrows)
     });
 }
 
+TEST(WireFuzz, CellsReplyLengthBombNeverOverallocates)
+{
+    std::string encoded;
+    sampleCellsReply().encode(encoded);
+    // The little-endian u32 cell count leads the payload.  Any count
+    // above the cap — 2^16 and up from one high byte, ~2^32 from all
+    // four, or just kMaxCells + 1 — must be rejected before a single
+    // CellOutcome is decoded.
+    auto withCount = [&encoded](std::uint32_t n) {
+        std::string bytes;
+        support::wire::putU32(bytes, n);
+        return bytes + encoded.substr(4);
+    };
+    auto rejected = [](const std::string &bytes) {
+        support::wire::Reader reader(bytes);
+        net::CellsReplyMsg msg;
+        const bool ok = msg.decode(reader);
+        return !ok && msg.cells.empty();
+    };
+    for (std::size_t pos = 1; pos < 4; ++pos) {
+        std::string corrupt = encoded;
+        corrupt[pos] = '\xff';
+        EXPECT_TRUE(rejected(corrupt)) << "length byte " << pos;
+    }
+    EXPECT_TRUE(rejected(withCount(0xffffffffu)));
+    EXPECT_TRUE(rejected(withCount(net::kMaxCells + 1)));
+    // The cap is the only thing rejecting those: the true count
+    // still decodes.
+    const std::string honest = withCount(2);
+    support::wire::Reader reader(honest);
+    net::CellsReplyMsg msg;
+    EXPECT_TRUE(msg.decode(reader));
+}
+
+TEST(WireFuzz, CellsReplyOkCellIsASummary)
+{
+    // One ok cell is its CellRef, the ok byte and the fixed summary —
+    // nothing that grows with the record's histograms or signature
+    // maps, however full sampleSchedStats() makes them.
+    const net::CellOutcome ok = sampleCellsReply().cells.front();
+    ASSERT_EQ(ok.ok, 1);
+    ASSERT_GT(ok.stats.collapse.pairSignatures().size(), 0u);
+    std::string encoded;
+    ok.encode(encoded);
+    std::string ref;
+    ok.cell.encode(ref);
+    EXPECT_EQ(kCellSummaryBytes, 32u);
+    EXPECT_EQ(encoded.size(), ref.size() + 1 + kCellSummaryBytes);
+    EXPECT_EQ(encoded.size(), 44u);     // "li"/D/16
+
+    std::string direct;
+    net::CellOutcome::encodeOk(direct, ok.cell, ok.stats);
+    EXPECT_EQ(direct, encoded);
+}
+
 TEST(WireFuzz, FleetHealthPrefixTruncationAlwaysFails)
 {
     std::string encoded;
@@ -392,8 +449,24 @@ TEST(WireFuzz, FleetFramesRoundTrip)
         EXPECT_EQ(reader.remaining(), 0u);
         ASSERT_EQ(msg.cells.size(), 2u);
         EXPECT_EQ(msg.cells[0].ok, 1);
-        EXPECT_EQ(msg.cells[0].stats.instructions,
-                  sampleSchedStats().instructions);
+        EXPECT_EQ(msg.cells[0].cell.workload, "li");
+        // All four summary fields survive (each with a distinct value,
+        // so a swap shows)...
+        const SchedStats &full = sampleSchedStats();
+        const SchedStats &got = msg.cells[0].stats;
+        EXPECT_EQ(got.instructions, full.instructions);
+        EXPECT_EQ(got.cycles, full.cycles);
+        EXPECT_EQ(got.collapse.collapsedInstructions(),
+                  full.collapse.collapsedInstructions());
+        EXPECT_EQ(got.wallNanos, full.wallNanos);
+        // ...and nothing else crosses the wire: the digest covers
+        // every other field, histograms and signature maps included.
+        SchedStats summary;
+        summary.instructions = full.instructions;
+        summary.cycles = full.cycles;
+        summary.collapse.setCollapsedInstructions(
+            full.collapse.collapsedInstructions());
+        EXPECT_EQ(digestSchedStats(got), digestSchedStats(summary));
         EXPECT_EQ(msg.cells[1].ok, 0);
         EXPECT_EQ(msg.cells[1].failure.key, "go/E/8");
         EXPECT_EQ(msg.cells[1].failure.attempts, 3u);
