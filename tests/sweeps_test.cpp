@@ -152,8 +152,9 @@ TEST_P(CollapseShapes, JudgementIsMonotoneInOperands)
         // 3 instructions, and the category is consistent.
         EXPECT_LE(expr.nonZeroOperands, 4u);
         EXPECT_LE(expr.instructions, 3u);
-        if (category == CollapseCategory::ZeroOp)
+        if (category == CollapseCategory::ZeroOp) {
             EXPECT_GT(expr.rawOperands, 4u);
+        }
         if (category == CollapseCategory::ThreeOne) {
             EXPECT_EQ(expr.instructions, 2u);
             EXPECT_LE(expr.rawOperands, 3u);
