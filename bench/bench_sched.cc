@@ -14,7 +14,7 @@
  *
  * The baseline series is the driver's default path, the one every
  * tool runs: one shared front-end pass per (workload, front-end
- * fingerprint) group feeding wake-list back-ends.  Its throughput is
+ * fingerprint) group feeding placement back-ends.  Its throughput is
  * the JSON's top level.  A `mapped` series re-runs the matrix with
  * the traces spilled to DDSCTRC v4 files and swept through mmap'd
  * zero-copy cursors — its per-cell digests must equal the baseline's,

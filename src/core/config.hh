@@ -95,11 +95,12 @@ struct MachineConfig
     unsigned rasDepth = 16;
 
     /**
-     * Use the O(window)-per-cycle scan engine instead of the
-     * wake-list one.  Semantically identical and much slower; it is
-     * the independent oracle the tests and bench_sched check the
+     * Use the O(window)-per-cycle scan engine instead of program-order
+     * placement.  Semantically identical and much slower; it is the
+     * independent oracle the tests and bench_sched check the
      * production engine against.  LimitScheduler::run() honours it;
-     * batched groups reject it.
+     * batched groups reject it.  (Node-elimination cells run on the
+     * scan engine regardless.)
      */
     bool naiveEngine = false;
 

@@ -3,13 +3,13 @@
  * Differential equivalence of grouped batched simulation against an
  * oracle outside the batched engine.
  *
- * Every cell runs on the wake-list engine, one front-end pass per
+ * Every cell runs on the placement engine, one front-end pass per
  * (workload, front-end fingerprint) group.  The oracle here is
  * deliberately blunt: for every workload x configuration x width
  * cell, the full SchedStats digest (digestSchedStats, every
  * deterministic field including both histograms) of the grouped run
- * must be bit-identical to the naive scan engine's, which shares the
- * window construction but none of the wake-list machinery.  Above
+ * must be bit-identical to the naive scan engine's, which shares only
+ * the annotations and the collapse step with placement.  Above
  * width 64, where the naive engine is too slow, the reference is the
  * cell run alone (LimitScheduler::run, a one-cell pass), which pins
  * the grouping; engine identity at width 2048 rests on bench_sched's
@@ -224,8 +224,8 @@ TEST(BatchedEquiv, SyntheticStressShapes)
 TEST(BatchedEquiv, ValuePredictionOnlyConfig)
 {
     // Value prediction without address-based load speculation: the
-    // front-end must train the value predictor (and only it) and the
-    // batched classification wakeups must fire at the same cycles.
+    // front-end must train the value predictor (and only it) and
+    // placement must classify loads at the cycles the scan finds.
     SyntheticTraceConfig trace_config;
     trace_config.instructions = 15000;
     trace_config.seed = 102;
@@ -251,9 +251,9 @@ TEST(BatchedEquiv, ValuePredictionOnlyConfig)
 TEST(BatchedEquiv, CollapseOnlyAndElimination)
 {
     // Collapse-only (no load speculation) plus the node-elimination
-    // extension: the same-cycle promotion closure for collapsed arcs
-    // and the elimination wakeup bookkeeping are the delicate parts
-    // of the wakeup engine.
+    // extension: collapsed arcs wait on the producer's ready cycle,
+    // and elimination cells run on the scan engine through the same
+    // batched protocol.
     SyntheticTraceConfig trace_config;
     trace_config.instructions = 15000;
     trace_config.seed = 103;

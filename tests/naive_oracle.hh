@@ -3,9 +3,9 @@
  * The engine-independent oracle for driver- and group-level tests:
  * one cell simulated on the naive scan engine
  * (MachineConfig::naiveEngine).  It rescans the window every cycle
- * with exact predicates and shares no wake-list machinery with the
- * production engine, so agreement with it is evidence about the
- * model, not the production engine agreeing with itself.  Its cost is
+ * with exact predicates and shares no timing code with the production
+ * placement engine, so agreement with it is evidence about the model,
+ * not the production engine agreeing with itself.  Its cost is
  * O(window) per cycle: keep it to widths of 64 or less.
  */
 

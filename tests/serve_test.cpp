@@ -119,8 +119,8 @@ TEST(Serve, BatchedServeMatchesLegacyBytesAndSingleFlights)
     // The serving path groups same-fingerprint cells of a sweep into
     // one front-end pass.  Pin that two ways at once.  First, the
     // served bytes must equal the same query aggregated from naive
-    // engine cells — an oracle that shares none of the production
-    // engine's wake-list machinery, carried end to end through the
+    // engine cells — an oracle that shares no timing code with the
+    // production placement engine, carried end to end through the
     // transport.  Second, concurrent identical sweeps must still cost
     // exactly one simulation per unique cell: CellRegistry's
     // single-flight dedup has to hold across the batch boundary,

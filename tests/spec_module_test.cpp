@@ -242,7 +242,7 @@ void
 expectEnginesAgree(const VectorTraceSource &trace,
                    const MachineConfig &config, const std::string &what)
 {
-    // Wake-list (production) vs naive reference engine.
+    // Placement (production) vs naive reference engine.
     MachineConfig naive_config = config;
     naive_config.naiveEngine = true;
 
