@@ -1,5 +1,7 @@
 #include "sched_stats.hh"
 
+#include "core/annotation.hh"
+
 namespace ddsc
 {
 
@@ -60,6 +62,27 @@ digestSchedStats(const SchedStats &s)
         h = fold(h, count);
     }
     return h;
+}
+
+void
+countAnnotation(SchedStats &s, std::uint16_t flags)
+{
+    using Ann = InsertAnnotation;
+    ++s.instructions;
+    if (flags & Ann::kFlagCondBranch) {
+        ++s.condBranches;
+        if (flags & Ann::kFlagMispredict)
+            ++s.mispredicts;
+    }
+    if (flags & Ann::kFlagCtiPrediction) {
+        ++s.ctiPredictions;
+        if (flags & Ann::kFlagCtiMispredict)
+            ++s.ctiMispredicts;
+    }
+    if (flags & Ann::kFlagMemDepPredicted)
+        ++s.memDepPredictedDeps;
+    if (flags & Ann::kFlagMemDepFalse)
+        ++s.memDepFalseDeps;
 }
 
 } // namespace ddsc

@@ -131,6 +131,12 @@ struct SchedStats
  */
 std::uint64_t digestSchedStats(const SchedStats &s);
 
+/** Count what one record's annotation flags report (the instruction,
+ *  branch and CTI predictions, memory-dependence predictions) into
+ *  @p s.  Both back-ends count these identically, whatever their
+ *  timing. */
+void countAnnotation(SchedStats &s, std::uint16_t flags);
+
 } // namespace ddsc
 
 #endif // DDSC_CORE_SCHED_STATS_HH
