@@ -159,6 +159,28 @@ TEST(Router, PartitionIsDeterministicAndInRange)
         for (unsigned width : {1u, 4u, 8u, 16u, 2048u})
             used.insert(serve::shardForCell(config, width, 4));
     EXPECT_GT(used.size(), 1u);
+
+    // The placement itself is persistent state: each shard's store
+    // holds exactly its own columns, so a changed hash, seed or
+    // fingerprint would silently re-partition every fleet's stores.
+    // One digit per column, A..G, each at widths 4 8 16 32 2k.
+    const std::pair<std::size_t, std::string> pinned[] = {
+        {2, "01011 10100 10100 01011 10100 10100 01011"},
+        {3, "22102 11002 11110 00111 10001 21011 02100"},
+        {4, "21211 30300 30300 21211 12122 12122 03033"},
+    };
+    for (const auto &[k, table] : pinned) {
+        std::size_t at = 0;
+        for (char config : {'A', 'B', 'C', 'D', 'E', 'F', 'G'}) {
+            for (unsigned width : {4u, 8u, 16u, 32u, 2048u}) {
+                if (table[at] == ' ')
+                    ++at;
+                EXPECT_EQ(serve::shardForCell(config, width, k),
+                          static_cast<unsigned>(table[at++] - '0'))
+                    << config << "/" << width << " at K=" << k;
+            }
+        }
+    }
 }
 
 TEST(Router, RoutedByteIdentity)
