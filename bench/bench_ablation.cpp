@@ -22,12 +22,11 @@ namespace
 using namespace ddsc;
 
 double
-hmeanIpcFor(ExperimentDriver &driver, const MachineConfig &config,
-            const std::string &key)
+hmeanIpcFor(ExperimentDriver &driver, const MachineConfig &config)
 {
     std::vector<double> ipcs;
     for (const WorkloadSpec &spec : allWorkloads())
-        ipcs.push_back(driver.statsFor(spec, config, key).ipc());
+        ipcs.push_back(driver.statsFor(spec, config).ipc());
     return harmonicMean(ipcs);
 }
 
@@ -46,10 +45,10 @@ main()
     table.header({"variant", "IPC", "vs paper-D"});
 
     const MachineConfig base_d = MachineConfig::paper('D', kWidth);
-    const double d_ipc = hmeanIpcFor(driver, base_d, "abl/D");
+    const double d_ipc = hmeanIpcFor(driver, base_d);
     auto report = [&](const std::string &name,
                       const MachineConfig &config) {
-        const double ipc = hmeanIpcFor(driver, config, "abl/" + name);
+        const double ipc = hmeanIpcFor(driver, config);
         table.row({name, TextTable::num(ipc),
                    TextTable::num(ipc / d_ipc, 3)});
     };

@@ -41,9 +41,7 @@ main()
         for (const AddrPredKind kind : kinds) {
             MachineConfig config = MachineConfig::paper('D', kWidth);
             config.addrPredKind = kind;
-            const std::string key =
-                "future/" + std::string(addrPredKindName(kind));
-            const SchedStats &stats = driver.statsFor(spec, config, key);
+            const SchedStats &stats = driver.statsFor(spec, config);
             row.push_back(TextTable::num(
                 stats.loadClassPct(LoadClass::PredictedCorrect), 1));
             row.push_back(TextTable::num(stats.ipc()));

@@ -28,13 +28,12 @@ main()
     for (const unsigned w : MachineConfig::paperWidths()) {
         MachineConfig real = MachineConfig::paper('D', w);
         real.realCtiPrediction = true;
-        const std::string key = "cti/" + std::to_string(w);
 
         std::vector<double> ideal_ipcs, real_ipcs;
         std::uint64_t predictions = 0, mispredicts = 0;
         for (const WorkloadSpec &spec : allWorkloads()) {
             ideal_ipcs.push_back(driver.stats(spec, 'D', w).ipc());
-            const SchedStats &stats = driver.statsFor(spec, real, key);
+            const SchedStats &stats = driver.statsFor(spec, real);
             real_ipcs.push_back(stats.ipc());
             predictions += stats.ctiPredictions;
             mispredicts += stats.ctiMispredicts;

@@ -28,14 +28,12 @@ main()
     for (const unsigned w : MachineConfig::paperWidths()) {
         MachineConfig elim_config = MachineConfig::paper('D', w);
         elim_config.nodeElimination = true;
-        const std::string key = "elim/" + std::to_string(w);
 
         std::vector<double> base_ipcs, elim_ipcs;
         std::uint64_t eliminated = 0, total = 0;
         for (const WorkloadSpec &spec : allWorkloads()) {
             base_ipcs.push_back(driver.stats(spec, 'D', w).ipc());
-            const SchedStats &elim = driver.statsFor(spec, elim_config,
-                                                     key);
+            const SchedStats &elim = driver.statsFor(spec, elim_config);
             elim_ipcs.push_back(elim.ipc());
             eliminated += elim.eliminatedInstructions;
             total += elim.instructions;

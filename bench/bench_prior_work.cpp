@@ -24,12 +24,11 @@ namespace
 using namespace ddsc;
 
 double
-hmean(ExperimentDriver &driver, const MachineConfig &config,
-      const std::string &key)
+hmean(ExperimentDriver &driver, const MachineConfig &config)
 {
     std::vector<double> ipcs;
     for (const WorkloadSpec &spec : allWorkloads())
-        ipcs.push_back(driver.statsFor(spec, config, key).ipc());
+        ipcs.push_back(driver.statsFor(spec, config).ipc());
     return harmonicMean(ipcs);
 }
 
@@ -60,11 +59,10 @@ main()
         prior.rules.sameBasicBlockOnly = true;
         prior.rules.maxCollapseDistance = 1;
 
-        const std::string ws = std::to_string(w);
-        const double ipc_full = hmean(driver, full, "pw/full/" + ws);
-        const double ipc_bb = hmean(driver, bb_only, "pw/bb/" + ws);
-        const double ipc_adj = hmean(driver, adjacent, "pw/adj/" + ws);
-        const double ipc_prior = hmean(driver, prior, "pw/prior/" + ws);
+        const double ipc_full = hmean(driver, full);
+        const double ipc_bb = hmean(driver, bb_only);
+        const double ipc_adj = hmean(driver, adjacent);
+        const double ipc_prior = hmean(driver, prior);
 
         table.row({
             MachineConfig::widthLabel(w),

@@ -30,14 +30,13 @@ main()
     for (const unsigned w : MachineConfig::paperWidths()) {
         MachineConfig vp_config = MachineConfig::paper('D', w);
         vp_config.loadValuePrediction = true;
-        const std::string key = "vp/" + std::to_string(w);
 
         std::vector<double> d_ipcs, vp_ipcs, e_ipcs;
         std::uint64_t hits = 0, wrong = 0, loads = 0;
         for (const WorkloadSpec &spec : allWorkloads()) {
             d_ipcs.push_back(driver.stats(spec, 'D', w).ipc());
             e_ipcs.push_back(driver.stats(spec, 'E', w).ipc());
-            const SchedStats &vp = driver.statsFor(spec, vp_config, key);
+            const SchedStats &vp = driver.statsFor(spec, vp_config);
             vp_ipcs.push_back(vp.ipc());
             hits += vp.valuePredHits;
             wrong += vp.valuePredWrong;

@@ -21,19 +21,6 @@ ageMsOf(std::chrono::steady_clock::time_point start,
 
 } // namespace
 
-std::string
-CellRegistry::flightKey(const ExperimentCell &cell)
-{
-    // Cell coordinates alone would collide if two drivers with
-    // different machines or traces ever shared a registry; folding in
-    // the fingerprint and trace digest makes the key self-describing.
-    const MachineConfig config =
-        MachineConfig::paper(cell.config, cell.width);
-    return cell.spec->name + "/" + std::string(1, cell.config) + "/" +
-           std::to_string(cell.width) + "|" + config.fingerprint() +
-           "|" + std::to_string(driver_.traceDigest(*cell.spec));
-}
-
 ResolveOutcome
 CellRegistry::resolve(const std::vector<ExperimentCell> &cells,
                       std::uint64_t deadline_ms,
@@ -45,17 +32,18 @@ CellRegistry::resolve(const std::vector<ExperimentCell> &cells,
 
     ResolveOutcome out;
 
-    // Keys first, outside the lock: the first flightKey() for a
-    // workload materializes and digests its trace.
+    // Materialize and digest each workload's trace before claiming
+    // anything, outside the lock: a flight's age, which the watchdog
+    // holds against its budgets, must not include trace generation.
+    std::set<const WorkloadSpec *> workloads;
     std::vector<std::string> keys;
     keys.reserve(cells.size());
-    for (const ExperimentCell &cell : cells)
-        keys.push_back(flightKey(cell));
-
-    auto cacheKeyOf = [](const ExperimentCell &cell) {
-        return cell.spec->name + "/" + std::string(1, cell.config) +
-               "/" + std::to_string(cell.width);
-    };
+    for (const ExperimentCell &cell : cells) {
+        if (workloads.insert(cell.spec).second)
+            driver_.traceDigest(*cell.spec);
+        keys.push_back(
+            paperCellKey(cell.spec->name, cell.config, cell.width));
+    }
 
     // Every flight this request claims simulates under its own child
     // token: the request's deadline (or an explicit cancel, or the
@@ -84,7 +72,7 @@ CellRegistry::resolve(const std::vector<ExperimentCell> &cells,
             const auto flight = inflight_.find(key);
             if (flight != inflight_.end() && flight->second.stalled)
                 throw CellStalled(
-                    flight->second.cacheKey,
+                    flight->first,
                     ageMsOf(flight->second.start, Clock::now()),
                     flight->second.budgetMs);
         }
@@ -104,8 +92,7 @@ CellRegistry::resolve(const std::vector<ExperimentCell> &cells,
             }
             support::CancelToken flight_token = flightToken();
             inflight_.emplace(keys[i],
-                              Flight{cacheKeyOf(cell), Clock::now(),
-                                     flight_token});
+                              Flight{Clock::now(), flight_token});
             mine.insert(keys[i]);
             claimed.push_back(cell);
             claimedKeys.push_back(keys[i]);
@@ -137,7 +124,7 @@ CellRegistry::resolve(const std::vector<ExperimentCell> &cells,
             if (claimedTokens[c].cancelled() &&
                 !driver_.cellResolved(*cell.spec, cell.config,
                                       cell.width))
-                throw CellCancelled(cacheKeyOf(cell),
+                throw CellCancelled(claimedKeys[c],
                                     claimedTokens[c].reason());
         }
     }
@@ -156,7 +143,7 @@ CellRegistry::resolve(const std::vector<ExperimentCell> &cells,
             auto flight = inflight_.find(keys[i]);
             if (flight != inflight_.end() && flight->second.stalled)
                 throw CellStalled(
-                    flight->second.cacheKey,
+                    flight->first,
                     ageMsOf(flight->second.start, Clock::now()),
                     flight->second.budgetMs);
             if (driver_.cellResolved(*cell.spec, cell.config,
@@ -165,8 +152,7 @@ CellRegistry::resolve(const std::vector<ExperimentCell> &cells,
             if (flight == inflight_.end()) {
                 support::CancelToken adopted = flightToken();
                 inflight_.emplace(keys[i],
-                                  Flight{cacheKeyOf(cell),
-                                         Clock::now(), adopted});
+                                  Flight{Clock::now(), adopted});
                 lock.unlock();
                 try {
                     driver_.prefetch({cell}, {adopted});
@@ -178,8 +164,7 @@ CellRegistry::resolve(const std::vector<ExperimentCell> &cells,
                 if (adopted.cancelled() &&
                     !driver_.cellResolved(*cell.spec, cell.config,
                                           cell.width))
-                    throw CellCancelled(cacheKeyOf(cell),
-                                        adopted.reason());
+                    throw CellCancelled(keys[i], adopted.reason());
                 lock.lock();
                 continue;
             }
@@ -213,12 +198,12 @@ CellRegistry::watchdogSweep(std::uint64_t soft_budget_ms,
                 flight.stalled = true;
                 flight.budgetMs = soft_budget_ms;
                 marked = true;
-                report.stalled.push_back({flight.cacheKey, age});
+                report.stalled.push_back({key, age});
             }
             if (flight.stalled && !flight.quarantined &&
                 age >= hard_budget_ms) {
                 flight.quarantined = true;
-                report.hardStalled.push_back({flight.cacheKey, age});
+                report.hardStalled.push_back({key, age});
             }
             // The last rung: past the cancel budget the flight is
             // not just presumed dead, its worker is taken back.  The
@@ -230,10 +215,9 @@ CellRegistry::watchdogSweep(std::uint64_t soft_budget_ms,
                 age >= cancel_budget_ms) {
                 flight.cancelSent = true;
                 flight.token.cancel(
-                    "watchdog cancelled stalled flight '" +
-                    flight.cacheKey + "' after " +
-                    std::to_string(age) + " ms");
-                report.cancelled.push_back({flight.cacheKey, age});
+                    "watchdog cancelled stalled flight '" + key +
+                    "' after " + std::to_string(age) + " ms");
+                report.cancelled.push_back({key, age});
             }
         }
     }

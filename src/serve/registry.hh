@@ -9,10 +9,11 @@
  * the second publish is a no-op" — correct, and exactly the
  * duplicated work a resident server exists to avoid.  The registry
  * closes that gap: each request first claims the cells nobody else is
- * flying (keyed by cell, machine fingerprint, and trace digest, so a
- * key collision across different machines or traces is impossible),
- * simulates its claimed batch through the shared driver, and then
- * waits for the cells other requests claimed.
+ * flying, simulates its claimed batch through the shared driver, and
+ * then waits for the cells other requests claimed.  A flight is keyed
+ * by the driver's name for its cell, paperCellKey(): one registry
+ * serves one driver, which latches one trace per workload, so a
+ * fingerprint or trace digest would add nothing.
  *
  * Deadlines bound the *wait*, never the computation: a request whose
  * deadline expires while another request is still simulating its cell
@@ -170,10 +171,9 @@ class CellRegistry
     std::uint64_t stalledCount() const;
 
   private:
-    /** One in-flight claim. */
+    /** One in-flight claim, keyed by paperCellKey() ("li/D/16"). */
     struct Flight
     {
-        std::string cacheKey;   ///< driver cache key ("li/D/16")
         std::chrono::steady_clock::time_point start;
         /** Child of the owner's request token; fired by the owner's
          *  deadline or the watchdog's cancel rung.  Always valid. */
@@ -184,9 +184,6 @@ class CellRegistry
         std::uint64_t budgetMs = 0; ///< the budget it overran (for
                                     ///< the CellStalled message)
     };
-
-    /** The in-flight key: cell / fingerprint / trace digest. */
-    std::string flightKey(const ExperimentCell &cell);
 
     ExperimentDriver &driver_;
     mutable std::mutex mutex_;

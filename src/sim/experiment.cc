@@ -100,57 +100,42 @@ ExperimentDriver::traceResidency() const
 }
 
 std::string
-ExperimentDriver::cellKey(char config, unsigned width)
+paperCellKey(std::string_view workload, char letter, unsigned width)
 {
-    return std::string(1, config) + "/" + std::to_string(width);
+    return std::string(workload) + '/' + letter + '/' +
+           std::to_string(width);
 }
 
-std::string
-ExperimentDriver::guardKey(const std::string &cache_key,
-                           const MachineConfig &config)
+const SchedStats *
+ExperimentDriver::cached(const std::string &key) const
 {
-    const std::string fp = config.fingerprint();
     std::lock_guard<std::mutex> lock(mutex_);
-    const auto [it, inserted] = fingerprints_.try_emplace(cache_key, fp);
-    if (inserted || it->second == fp)
-        return cache_key;
-#ifndef NDEBUG
-    ddsc_panic("statsFor key '%s' aliases two different MachineConfigs",
-               cache_key.c_str());
-#else
-    warn("statsFor key '%s' aliases two different MachineConfigs; "
-         "disambiguating by fingerprint", cache_key.c_str());
-    const std::string disambiguated = cache_key + "#" + fp;
-    fingerprints_.try_emplace(disambiguated, fp);
-    return disambiguated;
-#endif
+    const auto it = cache_.find(key);
+    if (it != cache_.end())
+        return &it->second;
+    const auto bad = quarantine_.find(key);
+    if (bad != quarantine_.end())
+        throw CellQuarantined(bad->second);
+    return nullptr;
 }
 
 const SchedStats &
-ExperimentDriver::statsFor(const WorkloadSpec &spec,
-                           const MachineConfig &config,
-                           const std::string &key,
-                           const support::CancelToken &token)
+ExperimentDriver::compute(const WorkloadSpec &spec,
+                          const MachineConfig &config,
+                          const std::string &key,
+                          const support::CancelToken &token)
 {
-    const std::string cache_key =
-        guardKey(spec.name + "/" + key, config);
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        const auto it = cache_.find(cache_key);
-        if (it != cache_.end())
-            return it->second;
-        const auto bad = quarantine_.find(cache_key);
-        if (bad != quarantine_.end())
-            throw CellQuarantined(bad->second);
-    }
     const SharedTrace &src = trace(spec);
+    // The fingerprint is built here, once per missed cell, and only
+    // for the store: the cache is keyed by name alone.
+    const std::string fingerprint =
+        store_ ? config.fingerprint() : std::string();
     if (store_) {
-        const SchedStats *stored = store_->lookup(
-            cache_key, config.fingerprint(), traceDigest(spec));
+        const SchedStats *stored =
+            store_->lookup(key, fingerprint, traceDigest(spec));
         if (stored) {
             std::lock_guard<std::mutex> lock(mutex_);
-            const auto [it, inserted] =
-                cache_.emplace(cache_key, *stored);
+            const auto [it, inserted] = cache_.emplace(key, *stored);
             if (inserted)
                 ++storeHits_;
             return it->second;
@@ -158,31 +143,41 @@ ExperimentDriver::statsFor(const WorkloadSpec &spec,
     }
     traceStore_.touch(src);
     BatchedCellResult cell =
-        runBatchedGroupWithRetry(src, {config}, {cache_key},
-                                 kBatchedChunk, {token})
+        runBatchedGroupWithRetry(src, {config}, {key}, kBatchedChunk,
+                                 {token})
             .cells.front();
     if (cell.cancelled) {
         // The cell is left exactly as if it had never been asked for:
         // the next request that wants it simulates from scratch.
-        throw CellCancelled(cache_key, cell.error);
+        throw CellCancelled(key, cell.error);
     }
     if (!cell.ok) {
-        const CellFailure failure{cache_key, cell.error, kCellAttempts};
+        const CellFailure failure{key, cell.error, kCellAttempts};
         std::lock_guard<std::mutex> lock(mutex_);
-        quarantine_.emplace(cache_key, failure);
+        quarantine_.emplace(key, failure);
         throw CellQuarantined(failure);
     }
-    if (store_) {
-        store_->append(cache_key, config.fingerprint(),
-                       traceDigest(spec), cell.stats);
-    }
+    if (store_)
+        store_->append(key, fingerprint, traceDigest(spec), cell.stats);
     std::lock_guard<std::mutex> lock(mutex_);
     ++simulated_;
     // A successful publish clears any provisional quarantine the
     // watchdog applied while this very simulation was stuck: the
     // result in hand proves the cell is healthy.
-    quarantine_.erase(cache_key);
-    return cache_.emplace(cache_key, std::move(cell.stats)).first->second;
+    quarantine_.erase(key);
+    return cache_.emplace(key, std::move(cell.stats)).first->second;
+}
+
+const SchedStats &
+ExperimentDriver::statsFor(const WorkloadSpec &spec,
+                           const MachineConfig &config,
+                           const support::CancelToken &token)
+{
+    const std::string key =
+        spec.name + "/" + config.name + "/" + config.fingerprint();
+    if (const SchedStats *hit = cached(key))
+        return *hit;
+    return compute(spec, config, key, token);
 }
 
 const SchedStats &
@@ -190,15 +185,18 @@ ExperimentDriver::stats(const WorkloadSpec &spec, char config,
                         unsigned width,
                         const support::CancelToken &token)
 {
-    return statsFor(spec, MachineConfig::paper(config, width),
-                    cellKey(config, width), token);
+    const std::string key = paperCellKey(spec.name, config, width);
+    if (const SchedStats *hit = cached(key))
+        return *hit;
+    return compute(spec, MachineConfig::paper(config, width), key,
+                   token);
 }
 
 bool
 ExperimentDriver::cellResolved(const WorkloadSpec &spec, char config,
                                unsigned width) const
 {
-    const std::string key = spec.name + "/" + cellKey(config, width);
+    const std::string key = paperCellKey(spec.name, config, width);
     std::lock_guard<std::mutex> lock(mutex_);
     return cache_.find(key) != cache_.end() ||
            quarantine_.find(key) != quarantine_.end();
@@ -208,13 +206,12 @@ bool
 ExperimentDriver::cellDurable(const WorkloadSpec &spec, char config,
                               unsigned width) const
 {
-    if (cellResolved(spec, config, width))
-        return true;
     // Key-only store probe: staleness (fingerprint/digest drift) is
     // caught at real lookup time; here a false positive just admits
     // one request that then simulates — fine for a brownout check.
-    return store_ != nullptr &&
-           store_->contains(spec.name + "/" + cellKey(config, width));
+    return cellResolved(spec, config, width) ||
+           (store_ != nullptr &&
+            store_->contains(paperCellKey(spec.name, config, width)));
 }
 
 std::vector<ExperimentCell>
@@ -267,43 +264,38 @@ ExperimentDriver::prefetch(const std::vector<ExperimentCell> &cells,
     for (std::size_t c = 0; c < cells.size(); ++c) {
         const ExperimentCell &cell = cells[c];
         ddsc_assert(cell.spec != nullptr, "null workload in cell");
-        const std::string cache_key =
-            cell.spec->name + "/" + cellKey(cell.config, cell.width);
-        if (!queued.insert(cache_key).second)
+        std::string key =
+            paperCellKey(cell.spec->name, cell.config, cell.width);
+        if (!queued.insert(key).second)
             continue;
-        MachineConfig config =
-            MachineConfig::paper(cell.config, cell.width);
-        // The guarded key is where statsFor() will look: when the raw
-        // key aliases a different machine (release builds), the result
-        // must be cached under the disambiguated key, or the cell
-        // would silently re-simulate on every statsFor() while the
-        // aliased entry lingers.
-        const std::string guarded_key = guardKey(cache_key, config);
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            if (cache_.find(guarded_key) != cache_.end())
+            if (cache_.find(key) != cache_.end())
                 continue;
-            if (quarantine_.find(guarded_key) != quarantine_.end())
+            if (quarantine_.find(key) != quarantine_.end())
                 continue;
         }
+        MachineConfig config =
+            MachineConfig::paper(cell.config, cell.width);
         const SharedTrace &src = trace(*cell.spec);
-        std::string fingerprint = config.fingerprint();
+        std::string fingerprint =
+            store_ ? config.fingerprint() : std::string();
         const std::uint64_t digest = traceDigest(*cell.spec);
         if (store_) {
             const SchedStats *stored =
-                store_->lookup(guarded_key, fingerprint, digest);
+                store_->lookup(key, fingerprint, digest);
             if (stored) {
                 // A concurrent prefetch may have cached this cell
                 // between our cache check and here; only the emplace
                 // that actually lands counts as a hit, so storeHits()
                 // never exceeds the number of unique cells loaded.
                 std::lock_guard<std::mutex> lock(mutex_);
-                if (cache_.emplace(guarded_key, *stored).second)
+                if (cache_.emplace(key, *stored).second)
                     ++storeHits_;
                 continue;
             }
         }
-        missing.push_back({&src, std::move(config), guarded_key,
+        missing.push_back({&src, std::move(config), std::move(key),
                            std::move(fingerprint), digest,
                            tokens.empty() ? support::CancelToken()
                                           : tokens[c]});

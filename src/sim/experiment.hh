@@ -59,6 +59,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/config.hh"
@@ -258,14 +259,14 @@ class ExperimentDriver
     bool cellDurable(const WorkloadSpec &spec, char config,
                      unsigned width) const;
 
-    /** As above with an arbitrary MachineConfig (ablation studies).
-     *  @param key must uniquely identify the configuration; the driver
-     *  cross-checks it against MachineConfig::fingerprint() and panics
-     *  (debug) or warns and disambiguates (release) on collisions.
+    /** As above with an arbitrary MachineConfig (ablation studies),
+     *  cached as "<workload>/<config.name>/<config.fingerprint()>".
+     *  The fingerprint covers every knob, so distinct machines get
+     *  distinct cells, and it contains '|', so the name never equals
+     *  a paperCellKey() and cannot shadow a paper cell.
      *  @param token as in stats(). */
     const SchedStats &statsFor(const WorkloadSpec &spec,
                                const MachineConfig &config,
-                               const std::string &key,
                                const support::CancelToken &token = {});
 
     /** Harmonic-mean IPC over @p set (paper Figures 2, 4, 6). */
@@ -334,14 +335,16 @@ class ExperimentDriver
     double cachedCellSeconds() const;
 
   private:
-    /** Cache key for a paper cell. */
-    static std::string cellKey(char config, unsigned width);
+    /** The cached stats for @p key, nullptr on a miss; throws
+     *  CellQuarantined for a quarantined cell. */
+    const SchedStats *cached(const std::string &key) const;
 
-    /** Look up / verify the fingerprint for @p cache_key, returning
-     *  the (possibly disambiguated) key to use.  Caller holds no
-     *  lock; this takes mutex_ itself. */
-    std::string guardKey(const std::string &cache_key,
-                         const MachineConfig &config);
+    /** Resolve a miss: load the store's record, or simulate and
+     *  publish. */
+    const SchedStats &compute(const WorkloadSpec &spec,
+                              const MachineConfig &config,
+                              const std::string &key,
+                              const support::CancelToken &token);
 
     /** The shared worker pool, created on first use with jobs_
      *  threads.  Persistent across prefetch() calls so concurrent
@@ -363,18 +366,23 @@ class ExperimentDriver
      *  spill-to-v4 + mmap, residency budget). */
     TraceStore traceStore_;
     std::map<std::string, SchedStats> cache_;
-    /** cache key -> MachineConfig::fingerprint() that filled it. */
-    std::map<std::string, std::string> fingerprints_;
     /** cache key -> why the cell is poisoned. */
     std::map<std::string, CellFailure> quarantine_;
     ResultStore *store_ = nullptr;      ///< optional, not owned
     std::size_t storeHits_ = 0;
     std::size_t simulated_ = 0;         ///< cells actually run
-    /** Guards cache_ / fingerprints_ / quarantine_ / storeHits_ /
-     *  simulated_ during parallel prefetch (mutable: const observers
-     *  lock it too). */
+    /** Guards cache_ / quarantine_ / storeHits_ / simulated_ during
+     *  parallel prefetch (mutable: const observers lock it too). */
     mutable std::mutex mutex_;
 };
+
+/** The one spelling of a paper cell's name, "<workload>/<letter>/
+ *  <width>" (e.g. "li/D/16"): the key of the driver cache, the store,
+ *  the registry's flights, the fleet merge, quarantine reports and
+ *  DDSC_FAULT addresses.  MachineConfig::paper() is a pure function
+ *  of letter and width, so the name is the machine. */
+std::string paperCellKey(std::string_view workload, char letter,
+                         unsigned width);
 
 /** Parse $DDSC_TRACE_LIMIT (0 when unset/invalid/trailing garbage;
  *  out-of-range values clamp to UINT64_MAX = effectively unlimited). */
