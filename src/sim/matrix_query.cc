@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <cstdio>
 #include <map>
+#include <string_view>
 
 #include "support/table.hh"
 
@@ -110,6 +112,28 @@ MatrixQuery::validate(std::string *why) const
         return fail("metric must be " + joined(knownMetrics()) +
                     ", not '" + metric + "'");
     return true;
+}
+
+std::vector<unsigned>
+parseWidths(const std::string &list)
+{
+    std::vector<unsigned> widths;
+    for (std::size_t pos = 0;;) {
+        const std::size_t comma = std::min(list.find(',', pos), list.size());
+        const char *first = list.data() + pos;
+        const char *last = list.data() + comma;
+        unsigned w = 0;
+        if (std::string_view(first, last - first) == "2k")
+            w = 2048;
+        else if (std::from_chars(first, last, w).ptr != last)
+            return {};
+        if (w == 0)
+            return {};      // empty, zero, or beyond unsigned
+        widths.push_back(w);
+        if (comma == list.size())
+            return widths;
+        pos = comma + 1;
+    }
 }
 
 std::vector<const WorkloadSpec *>

@@ -69,6 +69,12 @@ struct MatrixQuery
     bool decode(support::wire::Reader &in);
 };
 
+/** Parse a --widths list such as "4,8,2k": positive decimal widths,
+ *  or "2k" for 2048.  Empty when any entry is anything else ("4x",
+ *  "-4", "", "0"), which ddsc-matrix and ddsc-client treat as a usage
+ *  error.  Range checks stay in MatrixQuery::validate(). */
+std::vector<unsigned> parseWidths(const std::string &list);
+
 /** Per-request serving counters (all zero for a plain CLI run). */
 struct MatrixSummary
 {

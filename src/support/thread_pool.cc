@@ -1,7 +1,9 @@
 #include "thread_pool.hh"
 
 #include <atomic>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 
 #include "support/logging.hh"
@@ -22,13 +24,22 @@ ThreadPool::defaultJobs()
     const char *value = std::getenv("DDSC_JOBS");
     if (!value)
         return hardwareJobs();
-    char *end = nullptr;
-    const unsigned long parsed = std::strtoul(value, &end, 10);
-    if (end == value || *end != '\0' || parsed == 0) {
+    const unsigned parsed = parseJobs(value);
+    if (parsed == 0) {
         warn("ignoring DDSC_JOBS='%s' (want a positive integer)", value);
         return hardwareJobs();
     }
-    return static_cast<unsigned>(parsed);
+    return parsed;
+}
+
+unsigned
+ThreadPool::parseJobs(const char *text)
+{
+    // from_chars takes digits only (no sign, no whitespace) and leaves
+    // jobs at 0 when the value does not fit.
+    const char *end = text + std::strlen(text);
+    unsigned jobs = 0;
+    return std::from_chars(text, end, jobs).ptr == end ? jobs : 0;
 }
 
 ThreadPool::ThreadPool(unsigned threads)

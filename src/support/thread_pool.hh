@@ -78,6 +78,11 @@ class ThreadPool
      *  Malformed or zero values fall back to the hardware count. */
     static unsigned defaultJobs();
 
+    /** @p text as a plain positive decimal, else 0 (a sign, trailing
+     *  garbage, zero, or beyond unsigned).  $DDSC_JOBS and every
+     *  tool's --jobs parse through it, so "-1" cannot wrap. */
+    static unsigned parseJobs(const char *text);
+
   private:
     void workerLoop();
 

@@ -258,6 +258,11 @@ TEST(Jobs, DefaultJobsRejectsGarbage)
         EXPECT_EQ(ThreadPool::defaultJobs(), ThreadPool::hardwareJobs());
     }
     {
+        // strtoul would wrap this to 4,294,967,295 workers.
+        ScopedEnv env("DDSC_JOBS", "-1");
+        EXPECT_EQ(ThreadPool::defaultJobs(), ThreadPool::hardwareJobs());
+    }
+    {
         ScopedEnv env("DDSC_JOBS", nullptr);
         EXPECT_EQ(ThreadPool::defaultJobs(), ThreadPool::hardwareJobs());
     }

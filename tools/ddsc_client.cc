@@ -79,28 +79,6 @@ usage()
     std::exit(2);
 }
 
-std::vector<unsigned>
-parseWidths(const std::string &spec)
-{
-    std::vector<unsigned> widths;
-    std::size_t pos = 0;
-    while (pos < spec.size()) {
-        const std::size_t comma = spec.find(',', pos);
-        const std::string tok = spec.substr(
-            pos, comma == std::string::npos ? std::string::npos
-                                            : comma - pos);
-        const unsigned w = tok == "2k"
-            ? 2048u : static_cast<unsigned>(std::atoi(tok.c_str()));
-        if (w == 0)
-            usage();
-        widths.push_back(w);
-        pos = comma == std::string::npos ? spec.size() : comma + 1;
-    }
-    if (widths.empty())
-        usage();
-    return widths;
-}
-
 /** Strict --deadline-ms parse.  atoll would map "0", "-5", "2x", and
  *  overflow all onto values the wire layer reads as "no deadline" or
  *  nonsense; a deadline the user typed must either mean exactly what
@@ -218,6 +196,8 @@ main(int argc, char **argv)
             query.configs = value();
         } else if (arg == "--widths") {
             query.widths = parseWidths(value());
+            if (query.widths.empty())
+                usage();
         } else if (arg == "--metric") {
             query.metric = value();
         } else if (arg == "--csv") {

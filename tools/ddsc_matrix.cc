@@ -61,6 +61,7 @@
 #include "spec/orchestrator.hh"
 #include "support/logging.hh"
 #include "support/shutdown.hh"
+#include "support/thread_pool.hh"
 #include "support/version.hh"
 
 namespace
@@ -100,28 +101,6 @@ listConfigs()
     std::exit(0);
 }
 
-std::vector<unsigned>
-parseWidths(const std::string &spec)
-{
-    std::vector<unsigned> widths;
-    std::size_t pos = 0;
-    while (pos < spec.size()) {
-        const std::size_t comma = spec.find(',', pos);
-        const std::string tok = spec.substr(
-            pos, comma == std::string::npos ? std::string::npos
-                                            : comma - pos);
-        const unsigned w = tok == "2k"
-            ? 2048u : static_cast<unsigned>(std::atoi(tok.c_str()));
-        if (w == 0)
-            usage();
-        widths.push_back(w);
-        pos = comma == std::string::npos ? spec.size() : comma + 1;
-    }
-    if (widths.empty())
-        usage();
-    return widths;
-}
-
 } // anonymous namespace
 
 int
@@ -149,12 +128,14 @@ main(int argc, char **argv)
             query.configs = value();
         } else if (arg == "--widths") {
             query.widths = parseWidths(value());
+            if (query.widths.empty())
+                usage();
         } else if (arg == "--metric") {
             query.metric = value();
         } else if (arg == "--csv") {
             csv = true;
         } else if (arg == "--jobs") {
-            jobs = static_cast<unsigned>(std::atoi(value().c_str()));
+            jobs = support::ThreadPool::parseJobs(value().c_str());
             if (jobs == 0)
                 usage();
         } else if (arg == "--cache-dir") {

@@ -115,6 +115,7 @@
 #include "serve/server.hh"
 #include "support/portfile.hh"
 #include "support/shutdown.hh"
+#include "support/thread_pool.hh"
 #include "support/version.hh"
 
 namespace
@@ -402,8 +403,7 @@ main(int argc, char **argv)
         } else if (arg == "--pid-file") {
             pid_file = value();
         } else if (arg == "--jobs") {
-            opts.jobs = static_cast<unsigned>(
-                std::atoi(value().c_str()));
+            opts.jobs = support::ThreadPool::parseJobs(value().c_str());
             if (opts.jobs == 0)
                 usage();
         } else if (arg == "--cache-dir") {
