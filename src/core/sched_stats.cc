@@ -8,7 +8,7 @@ namespace ddsc
 namespace
 {
 
-/** FNV-1a over the bytes of one 64-bit value. */
+/** FNV-1a's xor-multiply step over the bytes of one 64-bit value. */
 std::uint64_t
 fold(std::uint64_t h, std::uint64_t v)
 {
@@ -24,6 +24,8 @@ fold(std::uint64_t h, std::uint64_t v)
 std::uint64_t
 digestSchedStats(const SchedStats &s)
 {
+    // Not FNV-1a's offset basis (14695981039346656037); never
+    // "correct" it: every pinned digest (BENCH_sched.json's 168) uses it.
     std::uint64_t h = 1469598103934665603ull;
     h = fold(h, s.instructions);
     h = fold(h, s.cycles);

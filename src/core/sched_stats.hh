@@ -124,8 +124,9 @@ struct SchedStats
 };
 
 /**
- * FNV-1a digest over every deterministic field of @p s — everything
- * except wallNanos, the sole field allowed to differ between runs that
+ * FNV-style digest (its seed is not FNV-1a's; see sched_stats.cc)
+ * over every deterministic field of @p s — everything except
+ * wallNanos, the sole field allowed to differ between runs that
  * simulated identically.  The engine-equivalence oracles (bench_sched
  * cross-checks, batched_equiv_test) compare runs by this value.
  */

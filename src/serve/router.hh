@@ -6,7 +6,7 @@
  *
  * Topology: each shard owns a deterministic slice of the experiment
  * matrix — a cell (config, width) column lands on shard
- * FNV-1a(MachineConfig::paper(config, width).fingerprint()) mod K, so
+ * hash(MachineConfig::paper(config, width).fingerprint()) mod K, so
  * the *machine fingerprint* (the same identity that keys the result
  * store) decides placement, every workload of a column co-locates
  * with its store records, and placement never depends on request
@@ -93,8 +93,11 @@ struct FleetState
 };
 
 /**
- * Which shard owns cell (config, width): FNV-1a over the paper
- * machine's fingerprint, mod @p shard_count.  Workload-independent on
+ * Which shard owns cell (config, width): a hash of the paper machine's
+ * fingerprint, mod @p shard_count.  The hash is FNV-1a's xor-multiply
+ * step, but seeded with 1469598103934665603, not FNV-1a's offset basis
+ * 14695981039346656037.  Never "correct" the seed: it fixes every
+ * column's shard, and so every shard's store.  Workload-independent on
  * purpose — a whole (config, width) column lands together, and the
  * speedup metric's base-machine column 'A' is just another column.
  */
