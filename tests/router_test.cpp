@@ -129,6 +129,50 @@ class FleetFixture
     std::thread routerThread_;
 };
 
+/** A router alone over one slot whose port file never appears: enough
+ *  for the paths that answer before any fan-out (accept, handshake). */
+class LoneRouter
+{
+  public:
+    explicit LoneRouter(unsigned max_sessions = 16)
+    {
+        fleet_.add(dir_.file("shard-0.port"), "");
+        serve::RouterOptions opts;
+        opts.port = 0;
+        opts.maxSessions = max_sessions;
+        router_ = std::make_unique<serve::Router>(opts, fleet_);
+        EXPECT_TRUE(router_->valid());
+        thread_ = std::thread([this]() { router_->run(); });
+    }
+
+    ~LoneRouter()
+    {
+        router_->stop();
+        thread_.join();
+    }
+
+    std::uint16_t port() const { return router_->port(); }
+
+  private:
+    TempDir dir_;
+    serve::FleetState fleet_;
+    std::unique_ptr<serve::Router> router_;
+    std::thread thread_;
+};
+
+/** Read one frame from @p fd and decode it as an ErrorMsg. */
+net::ErrorMsg
+readError(int fd)
+{
+    net::Frame frame;
+    net::ErrorMsg err;
+    EXPECT_EQ(net::readFrame(fd, frame, 5000), net::ReadStatus::Ok);
+    EXPECT_EQ(frame.type, net::MsgType::Error);
+    support::wire::Reader reader(frame.payload);
+    EXPECT_TRUE(err.decode(reader));
+    return err;
+}
+
 MatrixQuery
 smallQuery()
 {
@@ -509,6 +553,49 @@ TEST(Router, InfoAggregatesAcrossShards)
     EXPECT_EQ(si.simulated, direct0 + direct1);
     EXPECT_GT(si.cachedCells, 0u);
     EXPECT_EQ(si.requestsServed, 1u);
+}
+
+TEST(Router, AcceptShedFrameIsPinned)
+{
+    LoneRouter router(/*max_sessions=*/1);
+
+    // Occupy the only slot so the next connect is shed at accept.
+    net::Client holder(router.port());
+    holder.ping();
+
+    // The router's shed keeps its own message and carries no retry
+    // hint (it has no admission EWMA to price one from).
+    net::Fd conn = net::connectLocal(router.port());
+    ASSERT_TRUE(conn.valid());
+    const net::ErrorMsg err = readError(conn.get());
+    EXPECT_EQ(err.code, net::ErrCode::Overloaded);
+    EXPECT_EQ(err.message,
+              "router at capacity (1 sessions); retry shortly");
+    EXPECT_EQ(err.retryAfterMs, 0u);
+
+    // Then it hangs up: clean EOF, no tail.
+    unsigned char extra = 0;
+    EXPECT_EQ(net::recvExact(conn.get(), &extra, 1, 2000), 0u);
+}
+
+TEST(Router, VersionMismatchIsATypedError)
+{
+    LoneRouter router;
+    net::Fd conn = net::connectLocal(router.port());
+    ASSERT_TRUE(conn.valid());
+
+    net::Hello wrong = net::Hello::current();
+    wrong.traceFormat += 1;
+    std::string payload;
+    wrong.encode(payload);
+    ASSERT_TRUE(net::writeFrame(conn.get(), net::MsgType::Hello,
+                                payload));
+
+    // The code is the contract; the message wording is not pinned.
+    EXPECT_EQ(readError(conn.get()).code,
+              net::ErrCode::VersionMismatch);
+    unsigned char extra = 0;
+    EXPECT_EQ(net::recvExact(conn.get(), &extra, 1, 2000), 0u);
 }
 
 } // anonymous namespace
