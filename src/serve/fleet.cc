@@ -1,18 +1,12 @@
 #include "fleet.hh"
 
-#include <cerrno>
-#include <chrono>
-#include <csignal>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
-#include <poll.h>
-#include <sys/types.h>
-#include <sys/wait.h>
 #include <thread>
 #include <unistd.h>
 #include <vector>
 
+#include "serve/supervisor.hh"
 #include "support/portfile.hh"
 #include "support/shutdown.hh"
 
@@ -21,25 +15,6 @@ namespace ddsc::serve
 
 namespace
 {
-
-/** A generation that died younger than this is a "rapid" death for
- *  the flap breaker and escalates the restart backoff. */
-constexpr std::uint64_t kRapidDeathMs = 5000;
-constexpr std::uint64_t kBackoffBaseMs = 100;
-constexpr std::uint64_t kBackoffCapMs = 5000;
-
-/** Sleep up to @p delay_ms, returning early (true) when shutdown was
- *  requested meanwhile. */
-bool
-interruptibleSleep(std::uint64_t delay_ms)
-{
-    const int fd = support::shutdownFd();
-    pollfd p = {fd, POLLIN, 0};
-    const int n =
-        ::poll(&p, fd >= 0 ? 1u : 0u, static_cast<int>(delay_ms));
-    (void)n;
-    return support::shutdownRequested();
-}
 
 /** The exec argv for one shard generation: the plain (unsupervised)
  *  ddsc-served flag surface, so a shard is exactly what an operator
@@ -109,153 +84,23 @@ shardArgs(const FleetOptions &opts, std::size_t index,
     return args;
 }
 
-/**
- * Supervise one shard until shutdown (0) or its flap breaker trips
- * (1): fork+exec a generation, wait, restart unclean deaths with
- * capped backoff.  Mirrors the single-server --supervise loop, with
- * the slot atomics keeping the router's view current.
- */
-int
-superviseShard(const FleetOptions &opts, std::size_t index,
-               ShardSlot &slot)
+/** Fork+exec one shard generation; the child's pid, or -1 when fork
+ *  failed.  The manager is multi-threaded, so argv is built before
+ *  the fork: between fork and exec only async-signal-safe calls. */
+pid_t
+spawnShard(const std::vector<std::string> &args)
 {
-    const std::string pid_file =
-        opts.runtimeDir + "/shard-" + std::to_string(index) + ".pid";
-    unsigned rapid_deaths = 0;
-    for (std::uint64_t generation = 0;; ++generation) {
-        slot.generation.store(generation);
-        const std::vector<std::string> args =
-            shardArgs(opts, index, slot, pid_file, generation);
-        const pid_t child = ::fork();
-        if (child < 0) {
-            std::fprintf(stderr,
-                         "ddsc-served[fleet]: shard %zu fork failed: "
-                         "%s\n",
-                         index, std::strerror(errno));
-            slot.broken.store(true);
-            return 1;
-        }
-        if (child == 0) {
-            // Between fork and exec only async-signal-safe calls: the
-            // manager is multi-threaded and any inherited lock is
-            // frozen mid-flight.
-            std::vector<char *> argv;
-            argv.reserve(args.size() + 1);
-            for (const std::string &arg : args)
-                argv.push_back(const_cast<char *>(arg.c_str()));
-            argv.push_back(nullptr);
-            ::execv(argv[0], argv.data());
-            _exit(127);
-        }
-
-        std::fprintf(stderr,
-                     "# ddsc-served[fleet]: shard %zu generation %llu "
-                     "is pid %ld\n",
-                     index, static_cast<unsigned long long>(generation),
-                     static_cast<long>(child));
-
-        const auto born = std::chrono::steady_clock::now();
-        int status = 0;
-        bool failed = false;
-        for (bool forwarded = false;;) {
-            // Same forward-then-wait dance as the single-server
-            // supervisor: the shutdown self-pipe closes the race
-            // between a signal and waitpid parking.
-            if (support::shutdownRequested() && !forwarded) {
-                ::kill(child, SIGTERM);
-                forwarded = true;
-            }
-            const pid_t got =
-                ::waitpid(child, &status, forwarded ? 0 : WNOHANG);
-            if (got == child)
-                break;
-            if (got < 0 && errno != EINTR) {
-                std::fprintf(stderr,
-                             "ddsc-served[fleet]: shard %zu waitpid "
-                             "failed: %s\n",
-                             index, std::strerror(errno));
-                failed = true;
-                break;
-            }
-            if (!forwarded) {
-                pollfd p = {support::shutdownFd(), POLLIN, 0};
-                ::poll(&p, 1, 200);
-            }
-        }
-        if (failed) {
-            slot.broken.store(true);
-            return 1;
-        }
-
-        if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
-            std::fprintf(stderr,
-                         "# ddsc-served[fleet]: shard %zu generation "
-                         "%llu drained cleanly\n",
-                         index,
-                         static_cast<unsigned long long>(generation));
-            return 0;
-        }
-        if (support::shutdownRequested()) {
-            std::fprintf(stderr,
-                         "# ddsc-served[fleet]: shard %zu shutdown "
-                         "requested; not restarting\n",
-                         index);
-            return 0;
-        }
-
-        const std::uint64_t lifetime_ms = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                std::chrono::steady_clock::now() - born)
-                .count());
-        if (WIFSIGNALED(status)) {
-            std::fprintf(stderr,
-                         "# ddsc-served[fleet]: shard %zu generation "
-                         "%llu killed by signal %d (%s) after %llu "
-                         "ms\n",
-                         index,
-                         static_cast<unsigned long long>(generation),
-                         WTERMSIG(status),
-                         strsignal(WTERMSIG(status)),
-                         static_cast<unsigned long long>(lifetime_ms));
-        } else {
-            std::fprintf(stderr,
-                         "# ddsc-served[fleet]: shard %zu generation "
-                         "%llu exited %d after %llu ms\n",
-                         index,
-                         static_cast<unsigned long long>(generation),
-                         WIFEXITED(status) ? WEXITSTATUS(status) : -1,
-                         static_cast<unsigned long long>(lifetime_ms));
-        }
-        slot.restarts.fetch_add(1);
-
-        rapid_deaths =
-            lifetime_ms < kRapidDeathMs ? rapid_deaths + 1 : 0;
-        if (rapid_deaths >= opts.maxRestarts) {
-            std::fprintf(stderr,
-                         "ddsc-served[fleet]: shard %zu flap breaker: "
-                         "%u consecutive rapid deaths; giving up on "
-                         "this shard\n",
-                         index, rapid_deaths);
-            slot.broken.store(true);
-            return 1;
-        }
-
-        std::uint64_t delay = kBackoffBaseMs;
-        for (unsigned i = 1; i < rapid_deaths && delay < kBackoffCapMs;
-             ++i)
-            delay *= 2;
-        if (delay > kBackoffCapMs)
-            delay = kBackoffCapMs;
-        if (rapid_deaths > 0) {
-            std::fprintf(stderr,
-                         "# ddsc-served[fleet]: restarting shard %zu "
-                         "in %llu ms\n",
-                         index,
-                         static_cast<unsigned long long>(delay));
-            if (interruptibleSleep(delay))
-                return 0;
-        }
+    std::vector<char *> argv;
+    argv.reserve(args.size() + 1);
+    for (const std::string &arg : args)
+        argv.push_back(const_cast<char *>(arg.c_str()));
+    argv.push_back(nullptr);
+    const pid_t child = ::fork();
+    if (child == 0) {
+        ::execv(argv[0], argv.data());
+        _exit(127);
     }
+    return child;
 }
 
 } // anonymous namespace
@@ -320,11 +165,31 @@ runFleet(const FleetOptions &opts)
         return 1;
     }
 
+    // One Supervisor per shard; the hooks keep the router's view of
+    // each slot current.
     std::vector<std::thread> supervisors;
     supervisors.reserve(fleet.count());
     for (std::size_t i = 0; i < fleet.count(); ++i) {
         supervisors.emplace_back([&opts, i, &fleet]() {
-            superviseShard(opts, i, *fleet.shards[i]);
+            ShardSlot &slot = *fleet.shards[i];
+            const std::string pid_file = opts.runtimeDir + "/shard-" +
+                                         std::to_string(i) + ".pid";
+            Supervisor{
+                .label = "ddsc-served[fleet]: shard " + std::to_string(i),
+                .maxRestarts = opts.maxRestarts,
+                .spawn =
+                    [&](std::uint64_t generation) {
+                        return spawnShard(shardArgs(opts, i, slot,
+                                                    pid_file, generation));
+                    },
+                .onGeneration =
+                    [&slot](std::uint64_t generation) {
+                        slot.generation.store(generation);
+                    },
+                .onDeath = [&slot]() { slot.restarts.fetch_add(1); },
+                .onGiveUp = [&slot]() { slot.broken.store(true); },
+            }
+                .run();
         });
     }
 

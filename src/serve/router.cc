@@ -1,17 +1,12 @@
 #include "router.hh"
 
-#include <cerrno>
-#include <cstring>
-#include <fcntl.h>
 #include <map>
-#include <poll.h>
-#include <unistd.h>
+#include <thread>
 
 #include "core/config.hh"
 #include "sim/matrix_query.hh"
 #include "support/logging.hh"
 #include "support/portfile.hh"
-#include "support/shutdown.hh"
 
 namespace ddsc::serve
 {
@@ -19,22 +14,9 @@ namespace ddsc::serve
 namespace
 {
 
-constexpr int kHandshakeTimeoutMs = 30000;
-
 /** Per-shard health/info probes answer from memory; a shard that
  *  cannot do so within this budget counts as restarting. */
 constexpr int kProbeTimeoutMs = 2000;
-
-bool
-sendError(int fd, net::ErrCode code, const std::string &message)
-{
-    net::ErrorMsg err;
-    err.code = code;
-    err.message = message;
-    std::string payload;
-    err.encode(payload);
-    return net::writeFrame(fd, net::MsgType::Error, payload);
-}
 
 /** ServerError::what() leads with "code: "; strip it so re-wrapping
  *  the message in a new typed error does not stack prefixes. */
@@ -67,181 +49,18 @@ shardForCell(char config, unsigned width, std::size_t shard_count)
 }
 
 Router::Router(const RouterOptions &opts, FleetState &fleet)
-    : opts_(opts), fleet_(fleet)
+    : opts_(opts),
+      fleet_(fleet),
+      loop_(*this, "router", opts.port, opts.backlog, opts.maxSessions)
 {
     ddsc_assert(fleet_.count() > 0, "router needs at least one shard");
-    listener_ = net::TcpListener::bindLocal(opts_.port, opts_.backlog);
-    if (::pipe2(stopPipe_, O_NONBLOCK | O_CLOEXEC) != 0)
-        ddsc_fatal("router: pipe2 failed: %s", std::strerror(errno));
-}
-
-Router::~Router()
-{
-    for (std::unique_ptr<Slot> &slot : sessions_) {
-        if (slot->thread.joinable())
-            slot->thread.join();
-    }
-    for (const int fd : stopPipe_) {
-        if (fd >= 0)
-            ::close(fd);
-    }
-}
-
-void
-Router::run()
-{
-    while (!draining_.load()) {
-        reapSessions();
-
-        pollfd fds[3];
-        nfds_t nfds = 0;
-        const std::size_t listenerSlot = nfds;
-        fds[nfds++] = {listener_.fd(), POLLIN, 0};
-        if (stopPipe_[0] >= 0)
-            fds[nfds++] = {stopPipe_[0], POLLIN, 0};
-        const int shutdownFd = support::shutdownFd();
-        if (shutdownFd >= 0)
-            fds[nfds++] = {shutdownFd, POLLIN, 0};
-
-        const int ready = ::poll(fds, nfds, -1);
-        if (ready < 0) {
-            if (errno == EINTR)
-                continue;
-            break;
-        }
-
-        bool stopRequested = false;
-        for (nfds_t i = 0; i < nfds; ++i) {
-            if (i != listenerSlot && (fds[i].revents & POLLIN))
-                stopRequested = true;
-        }
-        if (stopRequested || support::shutdownRequested())
-            break;
-
-        if (!(fds[listenerSlot].revents & POLLIN))
-            continue;
-        net::Fd conn = listener_.accept();
-        if (!conn.valid())
-            continue;
-
-        reapSessions();
-        if (liveSessions() >= opts_.maxSessions) {
-            sendError(conn.get(), net::ErrCode::Overloaded,
-                      "router at capacity (" +
-                          std::to_string(opts_.maxSessions) +
-                          " sessions); retry shortly");
-            continue;
-        }
-
-        auto slot = std::make_unique<Slot>();
-        slot->fd = std::move(conn);
-        Slot *raw = slot.get();
-        activeSessions_.fetch_add(1);
-        slot->thread = std::thread([this, raw]() {
-            serveConnection(*raw);
-            // FIN now, reap later — same split as serve::Server.
-            raw->fd.shutdownBoth();
-            activeSessions_.fetch_sub(1);
-            raw->done.store(true);
-        });
-        sessions_.push_back(std::move(slot));
-    }
-
-    draining_.store(true);
-    listener_.close();
-    for (std::unique_ptr<Slot> &slot : sessions_) {
-        if (!slot->done.load())
-            slot->fd.shutdownRead();
-    }
-    for (std::unique_ptr<Slot> &slot : sessions_) {
-        if (slot->thread.joinable())
-            slot->thread.join();
-    }
-    sessions_.clear();
-}
-
-void
-Router::stop()
-{
-    if (stopPipe_[1] >= 0) {
-        const char byte = 's';
-        [[maybe_unused]] const ssize_t n =
-            ::write(stopPipe_[1], &byte, 1);
-    } else {
-        draining_.store(true);
-    }
-}
-
-void
-Router::serveConnection(Slot &slot)
-{
-    const int fd = slot.fd.get();
-
-    net::Frame frame;
-    if (net::readFrame(fd, frame, kHandshakeTimeoutMs) !=
-            net::ReadStatus::Ok ||
-        frame.type != net::MsgType::Hello)
-        return;
-    net::Hello theirs;
-    {
-        support::wire::Reader reader(frame.payload);
-        if (!theirs.decode(reader)) {
-            sendError(fd, net::ErrCode::BadRequest, "malformed Hello");
-            return;
-        }
-    }
-    const net::Hello ours = net::Hello::current();
-    if (!ours.compatible(theirs)) {
-        sendError(fd, net::ErrCode::VersionMismatch,
-                  "client speaks protocol " +
-                      std::to_string(theirs.protocol) +
-                      "; router has " + std::to_string(ours.protocol));
-        return;
-    }
-    std::string hello;
-    ours.encode(hello);
-    if (!net::writeFrame(fd, net::MsgType::HelloOk, hello))
-        return;
-
-    for (;;) {
-        const net::ReadStatus status = net::readFrame(fd, frame, -1);
-        if (status != net::ReadStatus::Ok)
-            return;
-        switch (frame.type) {
-          case net::MsgType::Ping:
-            if (!net::writeFrame(fd, net::MsgType::Pong, {}))
-                return;
-            break;
-          case net::MsgType::InfoRequest: {
-            std::string payload;
-            infoSnapshot().encode(payload);
-            if (!net::writeFrame(fd, net::MsgType::InfoReply, payload))
-                return;
-            break;
-          }
-          case net::MsgType::HealthRequest: {
-            std::string payload;
-            healthSnapshot().encode(payload);
-            if (!net::writeFrame(fd, net::MsgType::HealthReply,
-                                 payload))
-                return;
-            break;
-          }
-          case net::MsgType::MatrixRequest:
-            if (!handleMatrix(fd, frame))
-                return;
-            break;
-          default:
-            // CellsRequest is a shard-side verb; a client sending it
-            // to the router is confused.
-            return;
-        }
-    }
 }
 
 bool
-Router::handleMatrix(int fd, const net::Frame &frame)
+Router::handleRequest(Connection &conn, const net::Frame &frame)
 {
+    if (frame.type != net::MsgType::MatrixRequest)
+        return false;
     // Budget accounting starts the moment the frame is in hand:
     // everything from here on — decode, validation, fan-out — spends
     // the client's end-to-end budget.
@@ -250,14 +69,14 @@ Router::handleMatrix(int fd, const net::Frame &frame)
     MatrixQuery query;
     support::wire::Reader reader(frame.payload);
     if (!query.decode(reader))
-        return sendError(fd, net::ErrCode::BadRequest,
-                         "malformed MatrixRequest payload");
+        return conn.sendError(net::ErrCode::BadRequest,
+                              "malformed MatrixRequest payload");
     std::string why;
     if (!query.validate(&why))
-        return sendError(fd, net::ErrCode::BadRequest, why);
-    if (draining_.load())
-        return sendError(fd, net::ErrCode::Draining,
-                         "router is draining; retry elsewhere");
+        return conn.sendError(net::ErrCode::BadRequest, why);
+    if (draining())
+        return conn.sendError(net::ErrCode::Draining,
+                              "router is draining; retry elsewhere");
 
     MatrixResult result;
     try {
@@ -265,15 +84,15 @@ Router::handleMatrix(int fd, const net::Frame &frame)
     } catch (const net::ServerError &e) {
         // Deadline/Stalled/Cancelled propagated from a shard (or the
         // pre-fan-out budget check), already typed.
-        return sendError(fd, e.code,
-                         stripCodePrefix(e.code, e.what()));
+        return conn.sendError(e.code,
+                              stripCodePrefix(e.code, e.what()));
     } catch (const std::exception &e) {
-        return sendError(fd, net::ErrCode::Internal, e.what());
+        return conn.sendError(net::ErrCode::Internal, e.what());
     }
 
     std::string payload;
     result.encode(payload);
-    if (!net::writeFrame(fd, net::MsgType::MatrixReply, payload))
+    if (!conn.reply(net::MsgType::MatrixReply, payload))
         return false;
     requestsServed_.fetch_add(1);
     return true;
@@ -437,14 +256,9 @@ Router::routeMatrix(const MatrixQuery &query,
 net::HealthInfo
 Router::healthSnapshot() const
 {
-    using std::chrono::duration_cast;
-    using std::chrono::milliseconds;
     net::HealthInfo health;
-    health.uptimeMs = static_cast<std::uint64_t>(
-        duration_cast<milliseconds>(std::chrono::steady_clock::now() -
-                                    started_)
-            .count());
-    health.liveSessions = activeSessions_.load();
+    health.uptimeMs = loop_.uptimeMs();
+    health.liveSessions = loop_.activeSessions();
     for (std::size_t i = 0; i < fleet_.count(); ++i) {
         const ShardSlot &slot = *fleet_.shards[i];
         net::ShardHealth shard;
@@ -491,7 +305,7 @@ Router::infoSnapshot() const
     net::ServerInfo info;
     info.versions = net::Hello::current();
     info.requestsServed = requestsServed_.load();
-    info.activeSessions = activeSessions_.load();
+    info.activeSessions = loop_.activeSessions();
     info.hasStore = opts_.storeRoot.empty() ? 0 : 1;
     info.storePath = opts_.storeRoot;
     for (std::size_t i = 0; i < fleet_.count(); ++i) {
@@ -514,32 +328,6 @@ Router::infoSnapshot() const
         }
     }
     return info;
-}
-
-void
-Router::reapSessions()
-{
-    for (std::size_t i = 0; i < sessions_.size();) {
-        if (sessions_[i]->done.load()) {
-            if (sessions_[i]->thread.joinable())
-                sessions_[i]->thread.join();
-            sessions_.erase(sessions_.begin() +
-                            static_cast<std::ptrdiff_t>(i));
-        } else {
-            ++i;
-        }
-    }
-}
-
-std::size_t
-Router::liveSessions() const
-{
-    std::size_t live = 0;
-    for (const std::unique_ptr<Slot> &slot : sessions_) {
-        if (!slot->done.load())
-            ++live;
-    }
-    return live;
 }
 
 } // namespace ddsc::serve

@@ -46,12 +46,11 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "net/client.hh"
 #include "net/protocol.hh"
-#include "net/socket.hh"
+#include "serve/accept_loop.hh"
 
 namespace ddsc::serve
 {
@@ -121,40 +120,38 @@ struct RouterOptions
 };
 
 /**
- * The fan-out/merge front-end.  One accept loop plus one thread per
- * client session, mirroring serve::Server's shape; each MatrixRequest
- * fans out to the owning shards in parallel and merges.  Thread-safe
- * against the fleet manager mutating slot atomics.
+ * The fan-out/merge front-end on the shared AcceptLoop; each
+ * MatrixRequest fans out to the owning shards in parallel and merges.
+ * Thread-safe against the fleet manager mutating slot atomics.
  */
-class Router
+class Router : public AcceptLoop::Owner
 {
   public:
     Router(const RouterOptions &opts, FleetState &fleet);
-    ~Router();
 
     /** False when the listener failed to bind. */
-    bool valid() const { return listener_.valid(); }
+    bool valid() const { return loop_.valid(); }
 
     /** The bound port (resolves port 0). */
-    std::uint16_t port() const { return listener_.port(); }
+    std::uint16_t port() const { return loop_.port(); }
 
     /** Accept-and-serve until stop() (or a process shutdown request).
      *  Returns after every session thread joined. */
-    void run();
+    void run() { loop_.run(); }
 
     /** Request a drain from another thread (idempotent). */
-    void stop();
+    void stop() { loop_.stop(); }
 
     /** True once draining started. */
-    bool draining() const { return draining_.load(); }
+    bool draining() const { return loop_.draining(); }
 
     /** Aggregated fleet health: scalar sums over the reachable shards
      *  plus one ShardHealth entry per shard.  Also the HealthReply
      *  payload.  Callable from any thread. */
-    net::HealthInfo healthSnapshot() const;
+    net::HealthInfo healthSnapshot() const override;
 
     /** Aggregated fleet counters (InfoReply payload). */
-    net::ServerInfo infoSnapshot() const;
+    net::ServerInfo infoSnapshot() const override;
 
     /** Fan @p query out and merge — the MatrixRequest path, exposed
      *  for tests.  @p arrival is when the request hit this hop: the
@@ -177,33 +174,18 @@ class Router
     static constexpr std::uint64_t kShardFloorMs = 50;
 
   private:
-    struct Slot
-    {
-        std::thread thread;
-        net::Fd fd;
-        std::atomic<bool> done{false};
-    };
-
-    /** One client connection: handshake + request loop. */
-    void serveConnection(Slot &slot);
-
     /** Decode and answer one MatrixRequest.  False when the
-     *  connection died. */
-    bool handleMatrix(int fd, const net::Frame &frame);
-
-    void reapSessions();
-    std::size_t liveSessions() const;
+     *  connection died, or for a CellsRequest: that is a shard-side
+     *  verb, and a client sending it to the router is confused. */
+    bool handleRequest(Connection &conn,
+                       const net::Frame &frame) override;
 
     RouterOptions opts_;
     FleetState &fleet_;
-    net::TcpListener listener_;
-    int stopPipe_[2] = {-1, -1};
-    std::atomic<bool> draining_{false};
-    std::vector<std::unique_ptr<Slot>> sessions_;   ///< accept thread
-    std::atomic<std::uint64_t> activeSessions_{0};
     std::atomic<std::uint64_t> requestsServed_{0};
-    std::chrono::steady_clock::time_point started_ =
-        std::chrono::steady_clock::now();
+    /** Last member, so it is destroyed (every session joined) before
+     *  anything a session uses. */
+    AcceptLoop loop_;
 };
 
 } // namespace ddsc::serve

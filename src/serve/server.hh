@@ -4,22 +4,18 @@
  * cell cache, optional persistent store) warm and serves
  * experiment-matrix queries over localhost TCP.
  *
- * Concurrency model: one accept loop (run()'s thread) plus one thread
- * per live session.  Sessions share the driver through the
+ * Concurrency model: the shared AcceptLoop (accept_loop.hh) — one
+ * accept thread plus one thread per live session, with its overload
+ * shed and drain.  Sessions share the driver through the
  * single-flight CellRegistry, and the driver farms actual simulation
  * onto its own worker pool — so K concurrent identical requests cost
  * one simulation per unique cell, and a repeated request is answered
  * entirely from memory or the store.
  *
- * Overload: at most maxSessions live sessions.  The listener keeps
- * accepting — each excess connection is *shed* with a typed
- * Overloaded error and closed, rather than left to stall in the
- * accept queue wondering whether the server is dead.
- *
- * Drain (SIGINT/SIGTERM or stop()): stop accepting, half-close every
- * session so in-flight requests finish and reply, join the session
- * threads, then flush/compact the store.  A drained server exits with
- * every finished cell durable.
+ * Drain (SIGINT/SIGTERM or stop()): the loop stops accepting and
+ * joins every session once its in-flight request replied; then the
+ * store is flushed and compacted.  A drained server exits with every
+ * finished cell durable.
  */
 
 #ifndef DDSC_SERVE_SERVER_HH
@@ -33,13 +29,11 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "net/protocol.hh"
-#include "net/socket.hh"
+#include "serve/accept_loop.hh"
 #include "serve/admission.hh"
 #include "serve/registry.hh"
-#include "serve/session.hh"
 #include "sim/experiment.hh"
 #include "sim/result_store.hh"
 
@@ -89,17 +83,16 @@ struct ServerOptions
     std::uint64_t traceBudgetMb = 0;
 };
 
-class Server
+class Server : public AcceptLoop::Owner
 {
   public:
     explicit Server(const ServerOptions &opts);
-    ~Server();
 
     /** False when the listener failed to bind (port in use). */
-    bool valid() const { return listener_.valid(); }
+    bool valid() const { return loop_.valid(); }
 
     /** The bound port (resolves port 0). */
-    std::uint16_t port() const { return listener_.port(); }
+    std::uint16_t port() const { return loop_.port(); }
 
     /**
      * Accept-and-serve until a drain is requested — by stop(), or by
@@ -110,17 +103,17 @@ class Server
     void run();
 
     /** Request a drain from another thread (idempotent). */
-    void stop();
+    void stop() { loop_.stop(); }
 
     /** True once draining started; late requests get ErrCode::Draining. */
-    bool draining() const { return draining_.load(); }
+    bool draining() const { return loop_.draining(); }
 
     /** Counters snapshot for InfoReply. */
-    net::ServerInfo infoSnapshot() const;
+    net::ServerInfo infoSnapshot() const override;
 
     /** Readiness snapshot for HealthReply (what a supervisor or
      *  operator probes for). */
-    net::HealthInfo healthSnapshot() const;
+    net::HealthInfo healthSnapshot() const override;
 
     ExperimentDriver &driver() { return driver_; }
     CellRegistry &registry() { return registry_; }
@@ -129,18 +122,13 @@ class Server
     void countRequest() { requestsServed_.fetch_add(1); }
 
   private:
-    struct Slot
-    {
-        std::thread thread;
-        std::unique_ptr<Session> session;
-        std::atomic<bool> done{false};
-    };
+    /** MatrixRequest and CellsRequest, through a Session. */
+    bool handleRequest(Connection &conn,
+                       const net::Frame &frame) override;
 
-    /** Join and drop finished session slots. */
-    void reapSessions();
-
-    /** Live (not-done) session count. */
-    std::size_t liveSessions() const;
+    /** An accept-time shed prices its retry the way a request-level
+     *  shed would (admission's latency EWMA and queue depth). */
+    std::uint64_t retryHintMs() const override;
 
     /** The hung-cell watchdog: periodically sweep the registry for
      *  claims past their budget.  Runs on its own thread for the
@@ -157,24 +145,17 @@ class Server
     std::unique_ptr<ResultStore> store_;
     CellRegistry registry_;
     AdmissionController admission_;
-    net::TcpListener listener_;
-    int stopPipe_[2] = {-1, -1};    ///< self-pipe for stop()
-    std::atomic<bool> draining_{false};
-    std::vector<std::unique_ptr<Slot>> sessions_;   ///< accept thread only
     std::atomic<std::uint64_t> requestsServed_{0};
-    /** Live session count, readable from session threads (sessions_
-     *  itself belongs to the accept thread). */
-    std::atomic<std::uint64_t> activeSessions_{0};
-    std::uint64_t nextSessionId_ = 1;
 
-    std::chrono::steady_clock::time_point started_ =
-        std::chrono::steady_clock::now();
     std::thread watchdog_;
     std::mutex watchdogMutex_;
     std::condition_variable watchdogCv_;
     bool watchdogStop_ = false;         ///< guarded by watchdogMutex_
     /** Last sweep's effective soft budget, for HealthInfo. */
     std::atomic<std::uint64_t> effectiveBudgetMs_{0};
+    /** Last member, so it is destroyed (every session joined) before
+     *  anything a session uses. */
+    AcceptLoop loop_;
 };
 
 } // namespace ddsc::serve

@@ -1,24 +1,25 @@
 /**
  * @file
- * One served connection: version handshake, then a request loop until
- * the peer hangs up or the server drains.
+ * The server's request verbs: one MatrixRequest or CellsRequest on a
+ * served connection, decoded, admitted, resolved through the
+ * single-flight registry, and answered.  The accept loop
+ * (accept_loop.hh) owns the connection, the handshake and the probes,
+ * and hands each request frame here.
  *
- * A session thread owns its socket outright.  Draining never yanks a
- * session mid-reply: the server calls shutdownRead(), the request
- * currently executing finishes and its reply is written, and the next
- * read returns EOF, ending the loop.  Protocol violations (bad magic,
- * torn frames, unknown types) end the session by dropping the
- * connection — never by taking the server down.
+ * Draining never yanks a request mid-reply: the loop half-closes the
+ * connection, the request currently executing finishes and its reply
+ * is written, and the session's next read sees EOF.
  */
 
 #ifndef DDSC_SERVE_SESSION_HH
 #define DDSC_SERVE_SESSION_HH
 
 #include <cstdint>
-#include <string>
+#include <vector>
 
 #include "net/protocol.hh"
-#include "net/socket.hh"
+#include "serve/accept_loop.hh"
+#include "sim/experiment.hh"
 
 namespace ddsc::serve
 {
@@ -28,44 +29,33 @@ class Server;
 class Session
 {
   public:
-    Session(Server &server, net::Fd fd, std::uint64_t id);
+    Session(Server &server, Connection &conn);
 
-    /** Handshake + request loop; returns when the connection ends.
-     *  Runs on the session's own thread. */
-    void run();
-
-    /** Drain: let the in-flight request reply, then the request
-     *  loop's next read sees EOF.  Callable from the server thread
-     *  while run() is executing. */
-    void shutdownRead() { fd_.shutdownRead(); }
-
-    std::uint64_t id() const { return id_; }
-
-  private:
-    /** The handshake + request loop; run() hangs up when it returns. */
-    void serveLoop();
-
-    /** Expect Hello, verify versions, answer HelloOk.  False ends the
-     *  session (mismatch already answered with a typed error). */
-    bool handshake();
-
-    /** Decode, resolve, and answer one MatrixRequest.  False when the
-     *  connection died. */
+    /** Decode, validate and answer one MatrixRequest.  False when
+     *  the connection died. */
     bool handleMatrix(const net::Frame &frame);
 
-    /** Decode, resolve, and answer one CellsRequest (the fleet
+    /** Decode, validate and answer one CellsRequest (the fleet
      *  router's fan-out unit).  False when the connection died. */
     bool handleCells(const net::Frame &frame);
 
-    bool reply(net::MsgType type, std::string_view payload);
-    /** @p retry_after_ms rides only on retryable sheds (Overloaded);
-     *  0 = no hint. */
-    bool sendError(net::ErrCode code, const std::string &message,
-                   std::uint64_t retry_after_ms = 0);
+  private:
+    /**
+     * The one request path after decoding: refuse while draining,
+     * admit (brownout-eligible when every cell is durable), run
+     * @p resolve under the request's cancel token, map its failures
+     * to typed errors, and reply with what @p encode writes.
+     * @p resolve(token) returns the registry's ResolveOutcome;
+     * @p encode(outcome, payload) returns false when not every cell
+     * resolved.
+     */
+    template <typename Resolve, typename Encode>
+    bool serve(const std::vector<ExperimentCell> &cells,
+               std::uint64_t deadline_ms, net::MsgType reply_type,
+               Resolve &&resolve, Encode &&encode);
 
     Server &server_;
-    net::Fd fd_;
-    const std::uint64_t id_;
+    Connection &conn_;
 };
 
 } // namespace ddsc::serve

@@ -1,11 +1,10 @@
 #include "thread_pool.hh"
 
 #include <atomic>
-#include <charconv>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 
+#include "support/decimal.hh"
 #include "support/logging.hh"
 
 namespace ddsc::support
@@ -35,11 +34,8 @@ ThreadPool::defaultJobs()
 unsigned
 ThreadPool::parseJobs(const char *text)
 {
-    // from_chars takes digits only (no sign, no whitespace) and leaves
-    // jobs at 0 when the value does not fit.
-    const char *end = text + std::strlen(text);
     unsigned jobs = 0;
-    return std::from_chars(text, end, jobs).ptr == end ? jobs : 0;
+    return parseDecimal(text, jobs) ? jobs : 0;
 }
 
 ThreadPool::ThreadPool(unsigned threads)

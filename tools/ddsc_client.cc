@@ -56,6 +56,7 @@
 #include <vector>
 
 #include "net/client.hh"
+#include "support/decimal.hh"
 #include "support/portfile.hh"
 #include "support/version.hh"
 
@@ -88,15 +89,8 @@ parseDeadlineMs(const std::string &text)
 {
     constexpr std::uint64_t kMaxDeadlineMs = 86'400'000;    // 24 h
     std::uint64_t ms = 0;
-    bool ok = !text.empty();
-    for (const char c : text) {
-        if (c < '0' || c > '9' || ms > kMaxDeadlineMs) {
-            ok = false;
-            break;
-        }
-        ms = ms * 10 + static_cast<std::uint64_t>(c - '0');
-    }
-    if (!ok || ms == 0 || ms > kMaxDeadlineMs) {
+    if (!support::parseDecimal(text, ms) || ms == 0 ||
+        ms > kMaxDeadlineMs) {
         std::fprintf(stderr,
                      "ddsc-client: --deadline-ms expects a positive "
                      "integer of at most %llu ms, got '%s' (omit the "

@@ -98,21 +98,16 @@
  * cleanly once the drain finishes.
  */
 
-#include <cerrno>
-#include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
-#include <poll.h>
 #include <string>
-#include <sys/types.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include "serve/fleet.hh"
 #include "serve/server.hh"
+#include "serve/supervisor.hh"
+#include "support/decimal.hh"
 #include "support/portfile.hh"
 #include "support/shutdown.hh"
 #include "support/thread_pool.hh"
@@ -229,150 +224,6 @@ selfExePath(const char *argv0)
     return argv0;
 }
 
-/** Sleep up to @p delay_ms, returning early (true) when shutdown was
- *  requested meanwhile. */
-bool
-interruptibleSleep(std::uint64_t delay_ms)
-{
-    const int fd = support::shutdownFd();
-    pollfd p = {fd, POLLIN, 0};
-    const int n =
-        ::poll(&p, fd >= 0 ? 1u : 0u, static_cast<int>(delay_ms));
-    (void)n;
-    return support::shutdownRequested();
-}
-
-/** Crash-only supervision: fork the server, restart on any unclean
- *  death, give up after @p max_restarts consecutive rapid deaths. */
-int
-supervise(serve::ServerOptions opts, const std::string &port_file,
-          const std::string &pid_file, unsigned max_restarts)
-{
-    /** A generation that died younger than this is a "rapid" death
-     *  for the flap breaker and escalates the restart backoff. */
-    constexpr std::uint64_t kRapidDeathMs = 5000;
-    constexpr std::uint64_t kBackoffBaseMs = 100;
-    constexpr std::uint64_t kBackoffCapMs = 5000;
-
-    unsigned rapid_deaths = 0;
-    for (std::uint64_t generation = 0;; ++generation) {
-        opts.generation = generation;
-        const pid_t child = ::fork();
-        if (child < 0) {
-            std::fprintf(stderr, "ddsc-served: fork failed: %s\n",
-                         std::strerror(errno));
-            return 1;
-        }
-        if (child == 0) {
-            // The serving process.  It writes the pid/port files
-            // itself, after its listener is live.  A pre-fork signal
-            // must not leak in as this generation's shutdown.
-            support::resetShutdownAfterFork();
-            std::exit(runServer(opts, port_file, pid_file));
-        }
-
-        std::fprintf(stderr,
-                     "# ddsc-served[supervisor]: generation %llu is "
-                     "pid %ld\n",
-                     static_cast<unsigned long long>(generation),
-                     static_cast<long>(child));
-
-        const auto born = std::chrono::steady_clock::now();
-        int status = 0;
-        bool failed = false;
-        for (bool forwarded = false;;) {
-            // Forward our own SIGTERM/SIGINT so the child drains.  A
-            // blocking waitpid alone would race a signal delivered
-            // just before it parks; polling the shutdown self-pipe
-            // (readable from the instant the handler ran) closes that
-            // window, and once forwarded there is nothing left to
-            // watch, so the wait can block for real.
-            if (support::shutdownRequested() && !forwarded) {
-                ::kill(child, SIGTERM);
-                forwarded = true;
-            }
-            const pid_t got =
-                ::waitpid(child, &status, forwarded ? 0 : WNOHANG);
-            if (got == child)
-                break;
-            if (got < 0 && errno != EINTR) {
-                std::fprintf(stderr,
-                             "ddsc-served[supervisor]: waitpid "
-                             "failed: %s\n", std::strerror(errno));
-                failed = true;
-                break;
-            }
-            if (!forwarded) {
-                pollfd p = {support::shutdownFd(), POLLIN, 0};
-                ::poll(&p, 1, 200);
-            }
-        }
-        if (failed)
-            return 1;
-
-        if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
-            std::fprintf(stderr,
-                         "# ddsc-served[supervisor]: generation %llu "
-                         "drained cleanly\n",
-                         static_cast<unsigned long long>(generation));
-            return 0;
-        }
-        if (support::shutdownRequested()) {
-            // We asked it to stop and it still died unclean — report
-            // but don't restart what we were told to shut down.
-            std::fprintf(stderr,
-                         "# ddsc-served[supervisor]: shutdown "
-                         "requested; not restarting\n");
-            return 0;
-        }
-
-        const std::uint64_t lifetime_ms = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                std::chrono::steady_clock::now() - born)
-                .count());
-        if (WIFSIGNALED(status)) {
-            std::fprintf(stderr,
-                         "# ddsc-served[supervisor]: generation %llu "
-                         "killed by signal %d (%s) after %llu ms\n",
-                         static_cast<unsigned long long>(generation),
-                         WTERMSIG(status), strsignal(WTERMSIG(status)),
-                         static_cast<unsigned long long>(lifetime_ms));
-        } else {
-            std::fprintf(stderr,
-                         "# ddsc-served[supervisor]: generation %llu "
-                         "exited %d after %llu ms\n",
-                         static_cast<unsigned long long>(generation),
-                         WIFEXITED(status) ? WEXITSTATUS(status) : -1,
-                         static_cast<unsigned long long>(lifetime_ms));
-        }
-
-        rapid_deaths =
-            lifetime_ms < kRapidDeathMs ? rapid_deaths + 1 : 0;
-        if (rapid_deaths >= max_restarts) {
-            std::fprintf(stderr,
-                         "ddsc-served[supervisor]: flap breaker: %u "
-                         "consecutive rapid deaths; giving up\n",
-                         rapid_deaths);
-            return 1;
-        }
-
-        std::uint64_t delay = kBackoffBaseMs;
-        for (unsigned i = 1; i < rapid_deaths && delay < kBackoffCapMs;
-             ++i)
-            delay *= 2;
-        if (delay > kBackoffCapMs)
-            delay = kBackoffCapMs;
-        if (rapid_deaths > 0) {
-            std::fprintf(stderr,
-                         "# ddsc-served[supervisor]: restarting in "
-                         "%llu ms\n",
-                         static_cast<unsigned long long>(delay));
-            if (interruptibleSleep(delay))
-                return 0;
-        }
-    }
-}
-
 } // anonymous namespace
 
 int
@@ -395,9 +246,20 @@ main(int argc, char **argv)
                 usage();
             return argv[++i];
         };
+        // Every numeric flag is a plain decimal that fits its field:
+        // "-1" must not wrap to four billion, nor "4x" read as 4, nor
+        // a port above 65535 wrap to another port.
+        auto number = [&](auto &field) {
+            if (!support::parseDecimal(value(), field))
+                usage();
+        };
+        auto positive = [&](auto &field) {
+            number(field);
+            if (field == 0)
+                usage();
+        };
         if (arg == "--port") {
-            opts.port = static_cast<std::uint16_t>(
-                std::atoi(value().c_str()));
+            number(opts.port);
         } else if (arg == "--port-file") {
             port_file = value();
         } else if (arg == "--pid-file") {
@@ -411,32 +273,19 @@ main(int argc, char **argv)
         } else if (arg == "--trace-dir") {
             opts.traceDir = value();
         } else if (arg == "--trace-budget-mb") {
-            opts.traceBudgetMb = static_cast<std::uint64_t>(
-                std::atoll(value().c_str()));
+            number(opts.traceBudgetMb);
         } else if (arg == "--max-sessions") {
-            opts.maxSessions = static_cast<unsigned>(
-                std::atoi(value().c_str()));
-            if (opts.maxSessions == 0)
-                usage();
+            positive(opts.maxSessions);
         } else if (arg == "--watchdog-budget-ms") {
-            opts.watchdogBudgetMs = static_cast<std::uint64_t>(
-                std::atoll(value().c_str()));
+            number(opts.watchdogBudgetMs);
         } else if (arg == "--cancel-stalled-ms") {
-            opts.cancelStalledMs = static_cast<std::uint64_t>(
-                std::atoll(value().c_str()));
+            number(opts.cancelStalledMs);
         } else if (arg == "--max-active") {
-            opts.admission.maxActive = static_cast<unsigned>(
-                std::atoi(value().c_str()));
-            if (opts.admission.maxActive == 0)
-                usage();
+            positive(opts.admission.maxActive);
         } else if (arg == "--queue-depth") {
-            opts.admission.queueDepth = static_cast<unsigned>(
-                std::atoi(value().c_str()));
+            number(opts.admission.queueDepth);
         } else if (arg == "--per-conn-inflight") {
-            opts.admission.perConnInflight = static_cast<unsigned>(
-                std::atoi(value().c_str()));
-            if (opts.admission.perConnInflight == 0)
-                usage();
+            positive(opts.admission.perConnInflight);
         } else if (arg == "--brownout") {
             opts.admission.brownout = true;
         } else if (arg == "--no-brownout") {
@@ -444,25 +293,17 @@ main(int argc, char **argv)
         } else if (arg == "--supervise") {
             do_supervise = true;
         } else if (arg == "--fleet") {
-            fleet_shards = static_cast<unsigned>(
-                std::atoi(value().c_str()));
-            if (fleet_shards == 0)
-                usage();
+            positive(fleet_shards);
         } else if (arg == "--runtime-dir") {
             runtime_dir = value();
         } else if (arg == "--router-retry-budget-ms") {
-            router_retry_budget_ms = static_cast<std::uint64_t>(
-                std::atoll(value().c_str()));
+            number(router_retry_budget_ms);
         } else if (arg == "--generation") {
             // Internal: the fleet manager (and nobody else) stamps
             // each shard life with its generation number.
-            opts.generation = static_cast<std::uint64_t>(
-                std::atoll(value().c_str()));
+            number(opts.generation);
         } else if (arg == "--max-restarts") {
-            max_restarts = static_cast<unsigned>(
-                std::atoi(value().c_str()));
-            if (max_restarts == 0)
-                usage();
+            positive(max_restarts);
         } else if (arg == "--version") {
             support::version::print("ddsc-served");
             return 0;
@@ -509,7 +350,26 @@ main(int argc, char **argv)
         return serve::runFleet(fopts);
     }
 
-    if (do_supervise)
-        return supervise(opts, port_file, pid_file, max_restarts);
-    return runServer(opts, port_file, pid_file);
+    if (!do_supervise)
+        return runServer(opts, port_file, pid_file);
+    // Crash-only: restart the serving process on any unclean death.
+    return serve::Supervisor{
+        .label = "ddsc-served[supervisor]:",
+        .maxRestarts = max_restarts,
+        .spawn =
+            [&](std::uint64_t generation) {
+                opts.generation = generation;
+                const pid_t child = ::fork();
+                if (child == 0) {
+                    // The serving process.  It writes the pid/port
+                    // files itself, after its listener is live.  A
+                    // pre-fork signal must not leak in as this
+                    // generation's shutdown.
+                    support::resetShutdownAfterFork();
+                    std::exit(runServer(opts, port_file, pid_file));
+                }
+                return child;
+            },
+    }
+        .run();
 }
