@@ -119,53 +119,32 @@ ExperimentDriver::cached(const std::string &key) const
     return nullptr;
 }
 
-const SchedStats &
-ExperimentDriver::compute(const WorkloadSpec &spec,
-                          const MachineConfig &config,
-                          const std::string &key,
-                          const support::CancelToken &token)
+std::string
+cellKey(std::string_view workload, const MachineConfig &config)
 {
-    const SharedTrace &src = trace(spec);
-    // The fingerprint is built here, once per missed cell, and only
-    // for the store: the cache is keyed by name alone.
-    const std::string fingerprint =
-        store_ ? config.fingerprint() : std::string();
-    if (store_) {
-        const SchedStats *stored =
-            store_->lookup(key, fingerprint, traceDigest(spec));
-        if (stored) {
-            std::lock_guard<std::mutex> lock(mutex_);
-            const auto [it, inserted] = cache_.emplace(key, *stored);
-            if (inserted)
-                ++storeHits_;
-            return it->second;
-        }
+    const std::string fingerprint = config.fingerprint();
+    if (config.name.size() == 1 &&
+        MachineConfig::isKnownConfig(config.name[0]) &&
+        fingerprint == MachineConfig::paper(config.name[0],
+                                            config.issueWidth)
+                           .fingerprint()) {
+        return paperCellKey(workload, config.name[0], config.issueWidth);
     }
-    traceStore_.touch(src);
-    BatchedCellResult cell =
-        runBatchedGroupWithRetry(src, {config}, {key}, kBatchedChunk,
-                                 {token})
-            .cells.front();
-    if (cell.cancelled) {
-        // The cell is left exactly as if it had never been asked for:
-        // the next request that wants it simulates from scratch.
-        throw CellCancelled(key, cell.error);
-    }
-    if (!cell.ok) {
-        const CellFailure failure{key, cell.error, kCellAttempts};
-        std::lock_guard<std::mutex> lock(mutex_);
-        quarantine_.emplace(key, failure);
-        throw CellQuarantined(failure);
-    }
-    if (store_)
-        store_->append(key, fingerprint, traceDigest(spec), cell.stats);
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++simulated_;
-    // A successful publish clears any provisional quarantine the
-    // watchdog applied while this very simulation was stuck: the
-    // result in hand proves the cell is healthy.
-    quarantine_.erase(key);
-    return cache_.emplace(key, std::move(cell.stats)).first->second;
+    return std::string(workload) + '/' + config.name + '/' + fingerprint;
+}
+
+const SchedStats &
+ExperimentDriver::resolveOne(PendingCell cell)
+{
+    resolve({cell});
+    if (const SchedStats *hit = cached(cell.key))
+        return *hit;
+    // Neither cached nor quarantined: the cell was cancelled or
+    // skipped, and the next request that wants it simulates it from
+    // scratch.
+    throw CellCancelled(cell.key, cell.token.cancelled()
+                                      ? cell.token.reason()
+                                      : "shutdown requested");
 }
 
 const SchedStats &
@@ -173,11 +152,10 @@ ExperimentDriver::statsFor(const WorkloadSpec &spec,
                            const MachineConfig &config,
                            const support::CancelToken &token)
 {
-    const std::string key =
-        spec.name + "/" + config.name + "/" + config.fingerprint();
+    std::string key = cellKey(spec.name, config);
     if (const SchedStats *hit = cached(key))
         return *hit;
-    return compute(spec, config, key, token);
+    return resolveOne({&spec, std::move(key), config, token});
 }
 
 const SchedStats &
@@ -185,11 +163,11 @@ ExperimentDriver::stats(const WorkloadSpec &spec, char config,
                         unsigned width,
                         const support::CancelToken &token)
 {
-    const std::string key = paperCellKey(spec.name, config, width);
+    std::string key = paperCellKey(spec.name, config, width);
     if (const SchedStats *hit = cached(key))
         return *hit;
-    return compute(spec, MachineConfig::paper(config, width), key,
-                   token);
+    return resolveOne({&spec, std::move(key),
+                       MachineConfig::paper(config, width), token});
 }
 
 bool
@@ -241,15 +219,42 @@ ExperimentDriver::prefetch(const std::vector<ExperimentCell> &cells,
     ddsc_assert(tokens.empty() || tokens.size() == cells.size(),
                 "prefetch: %zu cells but %zu cancel tokens",
                 cells.size(), tokens.size());
+    std::vector<PendingCell> pending;
+    pending.reserve(cells.size());
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+        const ExperimentCell &cell = cells[c];
+        ddsc_assert(cell.spec != nullptr, "null workload in cell");
+        pending.push_back(
+            {cell.spec, paperCellKey(cell.spec->name, cell.config,
+                                     cell.width),
+             MachineConfig::paper(cell.config, cell.width),
+             tokens.empty() ? support::CancelToken() : tokens[c]});
+    }
+    resolve(pending);
+}
 
+void
+ExperimentDriver::prefetch(const std::vector<MachineCell> &cells)
+{
+    std::vector<PendingCell> pending;
+    pending.reserve(cells.size());
+    for (const MachineCell &cell : cells) {
+        ddsc_assert(cell.spec != nullptr, "null workload in cell");
+        pending.push_back({cell.spec, cellKey(cell.spec->name, cell.config),
+                           cell.config, {}});
+    }
+    resolve(pending);
+}
+
+void
+ExperimentDriver::resolve(const std::vector<PendingCell> &cells)
+{
     struct Task
     {
+        const PendingCell *cell;
         const SharedTrace *trace;
-        MachineConfig config;
-        std::string key;
-        std::string fingerprint;
-        std::uint64_t digest;
-        support::CancelToken token;     ///< null when uncancellable
+        std::string fingerprint;    ///< for the store only
+        std::uint64_t digest;       ///< for the store only
     };
 
     // Enumerate the missing cells and materialize their traces from
@@ -259,46 +264,39 @@ ExperimentDriver::prefetch(const std::vector<ExperimentCell> &cells,
     // into the in-memory cache here and never reach the workers —
     // this is what --resume resumes.  Quarantined cells are skipped
     // too: a known-poisoned simulation is not retried every sweep.
+    // The fingerprint and digest key the store, so they are built
+    // only when one is attached.
     std::vector<Task> missing;
     std::set<std::string> queued;
-    for (std::size_t c = 0; c < cells.size(); ++c) {
-        const ExperimentCell &cell = cells[c];
-        ddsc_assert(cell.spec != nullptr, "null workload in cell");
-        std::string key =
-            paperCellKey(cell.spec->name, cell.config, cell.width);
-        if (!queued.insert(key).second)
+    for (const PendingCell &cell : cells) {
+        if (!queued.insert(cell.key).second)
             continue;
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            if (cache_.find(key) != cache_.end())
+            if (cache_.find(cell.key) != cache_.end())
                 continue;
-            if (quarantine_.find(key) != quarantine_.end())
+            if (quarantine_.find(cell.key) != quarantine_.end())
                 continue;
         }
-        MachineConfig config =
-            MachineConfig::paper(cell.config, cell.width);
         const SharedTrace &src = trace(*cell.spec);
         std::string fingerprint =
-            store_ ? config.fingerprint() : std::string();
-        const std::uint64_t digest = traceDigest(*cell.spec);
+            store_ ? cell.config.fingerprint() : std::string();
+        const std::uint64_t digest = store_ ? traceDigest(*cell.spec) : 0;
         if (store_) {
             const SchedStats *stored =
-                store_->lookup(key, fingerprint, digest);
+                store_->lookup(cell.key, fingerprint, digest);
             if (stored) {
                 // A concurrent prefetch may have cached this cell
                 // between our cache check and here; only the emplace
                 // that actually lands counts as a hit, so storeHits()
                 // never exceeds the number of unique cells loaded.
                 std::lock_guard<std::mutex> lock(mutex_);
-                if (cache_.emplace(key, *stored).second)
+                if (cache_.emplace(cell.key, *stored).second)
                     ++storeHits_;
                 continue;
             }
         }
-        missing.push_back({&src, std::move(config), std::move(key),
-                           std::move(fingerprint), digest,
-                           tokens.empty() ? support::CancelToken()
-                                          : tokens[c]});
+        missing.push_back({&cell, &src, std::move(fingerprint), digest});
     }
     if (missing.empty())
         return;
@@ -324,7 +322,7 @@ ExperimentDriver::prefetch(const std::vector<ExperimentCell> &cells,
         for (std::size_t i = 0; i < missing.size(); ++i) {
             // setBatched(false) keys every cell apart: one-cell groups.
             const std::string fp = batched_
-                ? missing[i].config.frontEndFingerprint()
+                ? missing[i].cell->config.frontEndFingerprint()
                 : std::to_string(i);
             const auto [it, inserted] = index.try_emplace(
                 {missing[i].trace, fp}, groups.size());
@@ -358,9 +356,9 @@ ExperimentDriver::prefetch(const std::vector<ExperimentCell> &cells,
             keys.reserve(group.size());
             group_tokens.reserve(group.size());
             for (const std::size_t i : group) {
-                configs.push_back(missing[i].config);
-                keys.push_back(missing[i].key);
-                group_tokens.push_back(missing[i].token);
+                configs.push_back(missing[i].cell->config);
+                keys.push_back(missing[i].cell->key);
+                group_tokens.push_back(missing[i].cell->token);
             }
             // LRU-touch at execution (not enumeration) time, so the
             // residency budget tracks the order traces are actually
@@ -378,29 +376,28 @@ ExperimentDriver::prefetch(const std::vector<ExperimentCell> &cells,
 
     std::lock_guard<std::mutex> lock(mutex_);
     for (std::size_t i = 0; i < missing.size(); ++i) {
+        const std::string &key = missing[i].cell->key;
         if (skipped[i] || results[i].cancelled)
             continue;   // neither cached nor quarantined: never ran,
                         // or its partial state was discarded; the
                         // cell re-runs cleanly on the next request
         if (!results[i].ok) {
-            quarantine_.emplace(missing[i].key,
-                                CellFailure{missing[i].key,
-                                            results[i].error,
-                                            kCellAttempts});
+            quarantine_.emplace(
+                key, CellFailure{key, results[i].error, kCellAttempts});
             continue;
         }
         // Persist before publishing, in enumeration order: a kill
         // between cells loses at most the one record being written,
         // and the store contents are deterministic for a given sweep.
         if (store_) {
-            store_->append(missing[i].key, missing[i].fingerprint,
+            store_->append(key, missing[i].fingerprint,
                            missing[i].digest, results[i].stats);
         }
         ++simulated_;
         // The finished result clears any provisional watchdog
         // quarantine applied while this cell was stuck in flight.
-        quarantine_.erase(missing[i].key);
-        cache_.emplace(missing[i].key, std::move(results[i].stats));
+        quarantine_.erase(key);
+        cache_.emplace(key, std::move(results[i].stats));
     }
 }
 
@@ -547,16 +544,28 @@ meanLoadClassPctOver(const std::vector<const WorkloadSpec *> &set,
     return arithmeticMean(pcts);
 }
 
+namespace
+{
+
+/** The driver's own aggregations prefetch their cell set, then reduce
+ *  it through stats() hits. */
+CellStatsFn
+statsOf(ExperimentDriver &driver)
+{
+    return [&driver](const WorkloadSpec &s, char c,
+                     unsigned w) -> const SchedStats & {
+        return driver.stats(s, c, w);
+    };
+}
+
+} // anonymous namespace
+
 double
 ExperimentDriver::hmeanIpc(const std::vector<const WorkloadSpec *> &set,
                            char config, unsigned width)
 {
     prefetch(cellsFor(set, std::string(1, config), {width}));
-    return hmeanIpcOver(set, config, width,
-                        [this](const WorkloadSpec &s, char c,
-                               unsigned w) -> const SchedStats & {
-                            return stats(s, c, w);
-                        });
+    return hmeanIpcOver(set, config, width, statsOf(*this));
 }
 
 double
@@ -565,11 +574,7 @@ ExperimentDriver::hmeanSpeedup(
     unsigned width)
 {
     prefetch(cellsFor(set, std::string("A") + config, {width}));
-    return hmeanSpeedupOver(set, config, width,
-                            [this](const WorkloadSpec &s, char c,
-                                   unsigned w) -> const SchedStats & {
-                                return stats(s, c, w);
-                            });
+    return hmeanSpeedupOver(set, config, width, statsOf(*this));
 }
 
 CollapseStats
@@ -578,11 +583,7 @@ ExperimentDriver::mergedCollapse(
     unsigned width)
 {
     prefetch(cellsFor(set, std::string(1, config), {width}));
-    return mergedCollapseOver(set, config, width,
-                              [this](const WorkloadSpec &s, char c,
-                                     unsigned w) -> const SchedStats & {
-                                  return stats(s, c, w);
-                              });
+    return mergedCollapseOver(set, config, width, statsOf(*this));
 }
 
 double
@@ -591,11 +592,7 @@ ExperimentDriver::pctCollapsed(
     unsigned width)
 {
     prefetch(cellsFor(set, std::string(1, config), {width}));
-    return pctCollapsedOver(set, config, width,
-                            [this](const WorkloadSpec &s, char c,
-                                   unsigned w) -> const SchedStats & {
-                                return stats(s, c, w);
-                            });
+    return pctCollapsedOver(set, config, width, statsOf(*this));
 }
 
 double
@@ -604,12 +601,7 @@ ExperimentDriver::meanLoadClassPct(
     unsigned width, LoadClass cls)
 {
     prefetch(cellsFor(set, std::string(1, config), {width}));
-    return meanLoadClassPctOver(
-        set, config, width, cls,
-        [this](const WorkloadSpec &s, char c,
-               unsigned w) -> const SchedStats & {
-            return stats(s, c, w);
-        });
+    return meanLoadClassPctOver(set, config, width, cls, statsOf(*this));
 }
 
 std::vector<const WorkloadSpec *>

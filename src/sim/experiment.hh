@@ -11,7 +11,8 @@
  * prefetch() farms missing cells out to one persistent, driver-owned
  * thread pool (`--jobs` / $DDSC_JOBS, default hardware_concurrency)
  * and the aggregation helpers prefetch their whole cell set before
- * reducing serially.  prefetch() may be called from several threads
+ * reducing serially; a stats()/statsFor() miss is a one-cell
+ * prefetch.  prefetch() may be called from several threads
  * at once (the ddsc-served sessions do): each call waits only for its
  * own batch, every batch shares the same workers, and trace
  * materialization is latched per workload (TraceStore) — concurrent
@@ -81,6 +82,14 @@ struct ExperimentCell
     const WorkloadSpec *spec;
     char config;        ///< paper configuration letter A..E
     unsigned width;     ///< issue width
+};
+
+/** One cell given by an arbitrary machine (ablations, extensions).
+ *  Named by cellKey(), so a paper letter's machine is its paper cell. */
+struct MachineCell
+{
+    const WorkloadSpec *spec;
+    MachineConfig config;
 };
 
 /** Why one cell is quarantined. */
@@ -213,6 +222,11 @@ class ExperimentDriver
      */
     void prefetch(const std::vector<ExperimentCell> &cells);
 
+    /** As above for arbitrary machines, each named by cellKey():
+     *  later statsFor() calls, and stats() calls for the paper
+     *  machines among them, are cache hits. */
+    void prefetch(const std::vector<MachineCell> &cells);
+
     /**
      * As above with per-cell cancellation: @p tokens is parallel to
      * @p cells (empty = no cancellation; asserted otherwise).  A cell
@@ -233,10 +247,12 @@ class ExperimentDriver
              const std::string &configs,
              const std::vector<unsigned> &widths);
 
-    /** Simulate (cached) one workload under one configuration.
-     *  @p token, when valid, cancels a simulation this call itself
-     *  runs (cache and store hits never cancel); the cell is left
-     *  unresolved and CellCancelled is thrown. */
+    /** Simulate (cached) one workload under one configuration.  A
+     *  miss is a one-cell prefetch().  @p token, when valid, cancels a
+     *  simulation this call itself runs (cache and store hits never
+     *  cancel); the cell is left unresolved and CellCancelled is
+     *  thrown with the token's reason.  An interruptible driver after
+     *  a shutdown request skips the miss the same way. */
     const SchedStats &stats(const WorkloadSpec &spec, char config,
                             unsigned width,
                             const support::CancelToken &token = {});
@@ -260,10 +276,8 @@ class ExperimentDriver
                      unsigned width) const;
 
     /** As above with an arbitrary MachineConfig (ablation studies),
-     *  cached as "<workload>/<config.name>/<config.fingerprint()>".
-     *  The fingerprint covers every knob, so distinct machines get
-     *  distinct cells, and it contains '|', so the name never equals
-     *  a paperCellKey() and cannot shadow a paper cell.
+     *  cached under cellKey(spec.name, config): a paper letter's
+     *  machine is its paper cell, any other machine a cell of its own.
      *  @param token as in stats(). */
     const SchedStats &statsFor(const WorkloadSpec &spec,
                                const MachineConfig &config,
@@ -339,12 +353,24 @@ class ExperimentDriver
      *  CellQuarantined for a quarantined cell. */
     const SchedStats *cached(const std::string &key) const;
 
-    /** Resolve a miss: load the store's record, or simulate and
-     *  publish. */
-    const SchedStats &compute(const WorkloadSpec &spec,
-                              const MachineConfig &config,
-                              const std::string &key,
-                              const support::CancelToken &token);
+    /** One cell on its way through resolve(). */
+    struct PendingCell
+    {
+        const WorkloadSpec *spec;
+        std::string key;
+        MachineConfig config;
+        support::CancelToken token;     ///< null when uncancellable
+    };
+
+    /** The one cell path, under every prefetch() and every
+     *  stats()/statsFor() miss: store lookup, one batched group per
+     *  (trace, front-end fingerprint) on the pool, then store append
+     *  and cache publish, quarantine on failure, nothing on cancel. */
+    void resolve(const std::vector<PendingCell> &cells);
+
+    /** A stats()/statsFor() miss: resolve @p cell alone, then return
+     *  it or throw CellQuarantined / CellCancelled. */
+    const SchedStats &resolveOne(PendingCell cell);
 
     /** The shared worker pool, created on first use with jobs_
      *  threads.  Persistent across prefetch() calls so concurrent
@@ -383,6 +409,16 @@ class ExperimentDriver
  *  of letter and width, so the name is the machine. */
 std::string paperCellKey(std::string_view workload, char letter,
                          unsigned width);
+
+/** The name of the cell (@p workload, @p config).  A machine whose
+ *  name is one known letter and whose fingerprint equals that of
+ *  MachineConfig::paper(letter, issueWidth) is the paper cell,
+ *  paperCellKey(workload, letter, issueWidth); any other machine is
+ *  "<workload>/<config.name>/<config.fingerprint()>".  The fingerprint
+ *  covers every knob and contains '|', so distinct machines get
+ *  distinct names and the second form never equals a paperCellKey(). */
+std::string cellKey(std::string_view workload,
+                    const MachineConfig &config);
 
 /** Parse $DDSC_TRACE_LIMIT (0 when unset/invalid/trailing garbage;
  *  out-of-range values clamp to UINT64_MAX = effectively unlimited). */

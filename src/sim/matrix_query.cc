@@ -413,9 +413,10 @@ runMatrixQuery(
     else
         driver.prefetch(cells);
 
-    // An interrupted (Ctrl-C) sweep leaves cells unresolved; going on
-    // would re-simulate them serially through stats(), defeating the
-    // point of stopping.  Report what the caller can act on instead.
+    // An interrupted (Ctrl-C) sweep leaves cells unresolved, and
+    // stats() would skip them too (a miss after the shutdown request
+    // throws CellCancelled).  Report what the caller can act on
+    // instead.
     for (const ExperimentCell &cell : cells) {
         if (!driver.cellResolved(*cell.spec, cell.config, cell.width)) {
             MatrixResult result;

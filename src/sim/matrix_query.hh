@@ -171,7 +171,7 @@ bool decodeCellSummary(support::wire::Reader &in, SchedStats &s);
  *
  * If a shutdown request made the (interruptible) driver skip cells,
  * the result comes back with interrupted = true and no values rather
- * than re-simulating the skipped cells serially.
+ * than asking stats() for the skipped cells.
  */
 MatrixResult runMatrixQuery(
     ExperimentDriver &driver, const MatrixQuery &query,

@@ -121,7 +121,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // The fixed cases above keep the paper's 2 x width window.  These add
 // the module configs, odd widths, and the 1x and 4x windows
-// bench_ablation sweeps.
+// bench_paper's ablation table sweeps.
 struct ShapeParam
 {
     ShapeParam(std::uint64_t s, char c, unsigned w, std::uint64_t win)

@@ -144,6 +144,89 @@ TEST(Experiment, PrefetchStoresUnderGuardedKey)
               fresh.stats(spec, 'C', 8).instructions);
 }
 
+TEST(Experiment, StatsForPaperMachineIsThePaperCell)
+{
+    // One function names a cell, so the paper machine asked for by
+    // statsFor() is the paper cell itself, not a second simulation of
+    // it under a fingerprint name.
+    ExperimentDriver d(4000, /*test_scale=*/true);
+    const WorkloadSpec &spec = findWorkload("espresso");
+    const SchedStats &paper = d.stats(spec, 'D', 8);
+    EXPECT_EQ(&d.statsFor(spec, MachineConfig::paper('D', 8)), &paper);
+    EXPECT_EQ(d.cachedCells(), 1u);
+    EXPECT_EQ(d.simulatedCells(), 1u);
+}
+
+TEST(Experiment, CellKeyIsThePaperKeyOnlyForPaperMachines)
+{
+    const MachineConfig d8 = MachineConfig::paper('D', 8);
+    EXPECT_EQ(cellKey("li", d8), paperCellKey("li", 'D', 8));
+
+    // Another machine under the letter's name, or the letter's
+    // machine under another name, is a cell of its own.
+    MachineConfig elim = d8;
+    elim.nodeElimination = true;
+    EXPECT_EQ(cellKey("li", elim), "li/D/" + elim.fingerprint());
+    MachineConfig renamed = d8;
+    renamed.name = "mine";
+    EXPECT_EQ(cellKey("li", renamed), "li/mine/" + d8.fingerprint());
+}
+
+TEST(Experiment, MachinePrefetchMatchesNaiveEngine)
+{
+    // A machine prefetch() runs the one cell path: the variants that
+    // keep D's front end share its pass, the ones that retrain a
+    // predictor force passes of their own.  Every cell must equal the
+    // naive engine's and a serial driver's asked one cell at a time.
+    const MachineConfig d = MachineConfig::paper('D', 8);
+    std::vector<MachineConfig> shared, separate;
+    const auto variant = [&d](std::vector<MachineConfig> &into,
+                              auto tweak) {
+        MachineConfig config = d;
+        tweak(config);
+        into.push_back(config);
+    };
+    variant(shared, [](MachineConfig &c) {
+        c.rules.zeroOpDetection = false;
+    });
+    variant(shared, [](MachineConfig &c) { c.rules.maxInstructions = 2; });
+    variant(shared, [](MachineConfig &c) { c.windowSize = 32; });
+    variant(shared, [](MachineConfig &c) { c.nodeElimination = true; });
+    variant(separate, [](MachineConfig &c) { c.bpredIndexBits = 11; });
+    variant(separate, [](MachineConfig &c) {
+        c.addrConfidenceThreshold = 2;
+    });
+    for (const MachineConfig &config : shared)
+        EXPECT_EQ(config.frontEndFingerprint(), d.frontEndFingerprint());
+    for (const MachineConfig &config : separate)
+        EXPECT_NE(config.frontEndFingerprint(), d.frontEndFingerprint());
+
+    std::vector<MachineCell> cells;
+    for (const char *name : {"li", "espresso"}) {
+        for (const auto *machines : {&shared, &separate})
+            for (const MachineConfig &config : *machines)
+                cells.push_back({&findWorkload(name), config});
+    }
+    ExperimentDriver pooled(0, /*test_scale=*/true, 4);
+    pooled.prefetch(cells);
+    EXPECT_EQ(pooled.simulatedCells(), cells.size());
+
+    ExperimentDriver serial(0, /*test_scale=*/true, 1);
+    for (const MachineCell &cell : cells) {
+        const std::string key = cellKey(cell.spec->name, cell.config);
+        const std::uint64_t digest =
+            digestSchedStats(pooled.statsFor(*cell.spec, cell.config));
+        EXPECT_EQ(digest, digestSchedStats(test::naiveCell(
+                              pooled.trace(*cell.spec), cell.config)))
+            << key;
+        EXPECT_EQ(digest, digestSchedStats(
+                              serial.statsFor(*cell.spec, cell.config)))
+            << key;
+    }
+    // Reading the prefetched cells simulated nothing more.
+    EXPECT_EQ(pooled.simulatedCells(), cells.size());
+}
+
 // --- DDSC_TRACE_LIMIT parsing ----------------------------------------
 
 namespace

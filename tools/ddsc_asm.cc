@@ -21,6 +21,7 @@
 #include <string>
 
 #include "masm/assembler.hh"
+#include "support/decimal.hh"
 #include "support/logging.hh"
 #include "support/version.hh"
 #include "trace/source.hh"
@@ -57,9 +58,8 @@ main(int argc, char **argv)
                 usage();
             output = argv[++i];
         } else if (arg == "--limit") {
-            if (i + 1 >= argc)
+            if (i + 1 >= argc || !support::parseDecimal(argv[++i], limit))
                 usage();
-            limit = std::strtoull(argv[++i], nullptr, 10);
         } else if (arg == "--list") {
             list = true;
         } else if (arg == "--version") {

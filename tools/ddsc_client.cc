@@ -177,9 +177,15 @@ main(int argc, char **argv)
                 usage();
             return argv[++i];
         };
+        // Numeric flags are plain decimals that fit their field: a
+        // port above 65535 must not wrap, nor "--retries -1" read as
+        // four billion retries.
+        auto number = [&](auto &field) {
+            if (!support::parseDecimal(value(), field))
+                usage();
+        };
         if (arg == "--port") {
-            port = static_cast<std::uint16_t>(
-                std::atoi(value().c_str()));
+            number(port);
             if (port == 0)
                 usage();
         } else if (arg == "--port-file") {
@@ -199,11 +205,9 @@ main(int argc, char **argv)
         } else if (arg == "--deadline-ms") {
             query.deadlineMs = parseDeadlineMs(value());
         } else if (arg == "--retries") {
-            policy.retries = static_cast<unsigned>(
-                std::atoi(value().c_str()));
+            number(policy.retries);
         } else if (arg == "--retry-budget-ms") {
-            policy.budgetMs = static_cast<std::uint64_t>(
-                std::atoll(value().c_str()));
+            number(policy.budgetMs);
         } else if (arg == "--info") {
             info = true;
         } else if (arg == "--health") {

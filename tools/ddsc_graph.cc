@@ -23,6 +23,7 @@
 
 #include "collapse/rules.hh"
 #include "masm/assembler.hh"
+#include "support/decimal.hh"
 #include "support/logging.hh"
 #include "support/version.hh"
 #include "vm/vm.hh"
@@ -61,9 +62,8 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--limit") {
-            if (i + 1 >= argc)
+            if (i + 1 >= argc || !support::parseDecimal(argv[++i], limit))
                 usage();
-            limit = std::strtoull(argv[++i], nullptr, 10);
         } else if (arg == "--version") {
             support::version::print("ddsc-graph");
             return 0;

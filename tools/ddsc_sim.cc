@@ -62,6 +62,7 @@
 #include "sim/batched.hh"
 #include "sim/experiment.hh"
 #include "sim/result_store.hh"
+#include "support/decimal.hh"
 #include "support/logging.hh"
 #include "support/shutdown.hh"
 #include "support/thread_pool.hh"
@@ -202,6 +203,12 @@ main(int argc, char **argv)
                 usage();
             return argv[++i];
         };
+        // Numeric flags are plain decimals that fit their field: "4x"
+        // must not read as 4, nor "-1" wrap to four billion.
+        auto number = [&](auto &field) {
+            if (!support::parseDecimal(value(), field))
+                usage();
+        };
         if (arg == "--workload") {
             workload = value();
         } else if (arg == "--asm") {
@@ -209,7 +216,7 @@ main(int argc, char **argv)
         } else if (arg == "--trace") {
             trace_path = value();
         } else if (arg == "--scale") {
-            scale = static_cast<unsigned>(std::atoi(value().c_str()));
+            number(scale);
         } else if (arg == "--config") {
             const std::string v = value();
             if (v.empty())
@@ -224,7 +231,7 @@ main(int argc, char **argv)
             if (jobs == 0)
                 usage();
         } else if (arg == "--width") {
-            width = static_cast<unsigned>(std::atoi(value().c_str()));
+            number(width);
             if (width == 0)
                 usage();
         } else if (arg == "--elim") {
@@ -241,7 +248,7 @@ main(int argc, char **argv)
                 usage();
             }
         } else if (arg == "--limit") {
-            limit = std::strtoull(value().c_str(), nullptr, 10);
+            number(limit);
         } else if (arg == "--cache-dir") {
             cache_dir = value();
         } else if (arg == "--resume") {
@@ -375,7 +382,7 @@ main(int argc, char **argv)
     struct CellRun
     {
         MachineConfig config;
-        std::string key;        ///< e.g. "li/D/16"
+        std::string key;        ///< cellKey(), e.g. "li/D/16"
         SchedStats stats;
         bool ok = false;
         bool fromStore = false;
@@ -385,7 +392,7 @@ main(int argc, char **argv)
     for (const char c : config_ids) {
         CellRun run;
         run.config = machineFor(c);
-        run.key = paperCellKey(label, c, width);
+        run.key = cellKey(label, run.config);
         if (store) {
             const SchedStats *stored = store->lookup(
                 run.key, run.config.fingerprint(), digest);

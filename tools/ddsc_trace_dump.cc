@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "support/decimal.hh"
 #include "support/version.hh"
 #include "trace/source.hh"
 #include "trace/trace_stats.hh"
@@ -60,9 +61,8 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--head") {
-            if (i + 1 >= argc)
+            if (i + 1 >= argc || !support::parseDecimal(argv[++i], head))
                 usage();
-            head = std::strtoull(argv[++i], nullptr, 10);
         } else if (arg == "--stats") {
             stats = true;
         } else if (arg == "--version") {

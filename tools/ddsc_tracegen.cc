@@ -49,6 +49,7 @@
 #include <vector>
 
 #include "sim/batched.hh"
+#include "support/decimal.hh"
 #include "support/logging.hh"
 #include "support/version.hh"
 #include "trace/mapped.hh"
@@ -267,21 +268,26 @@ main(int argc, char **argv)
                 usage();
             return argv[++i];
         };
+        // Numeric flags are plain decimals that fit their field:
+        // "--files -1" must not wrap to an unbounded corpus.
+        auto number = [&](auto &field) {
+            if (!ddsc::support::parseDecimal(value(), field))
+                usage();
+        };
         if (arg == "--dir") {
             dir = value();
         } else if (arg == "--files") {
-            files = std::strtoull(value().c_str(), nullptr, 10);
+            number(files);
         } else if (arg == "--records") {
-            records = std::strtoull(value().c_str(), nullptr, 10);
+            number(records);
         } else if (arg == "--seed") {
-            seed = std::strtoull(value().c_str(), nullptr, 10);
+            number(seed);
         } else if (arg == "--block-size") {
-            blockSize = static_cast<std::uint32_t>(
-                std::strtoul(value().c_str(), nullptr, 10));
+            number(blockSize);
         } else if (arg == "--budget-mb") {
-            budgetMb = std::strtoull(value().c_str(), nullptr, 10);
+            number(budgetMb);
         } else if (arg == "--max-rss-mb") {
-            maxRssMb = std::strtoull(value().c_str(), nullptr, 10);
+            number(maxRssMb);
         } else if (arg == "--configs") {
             configIds = value();
             for (const char c : configIds) {
@@ -289,7 +295,7 @@ main(int argc, char **argv)
                     usage();
             }
         } else if (arg == "--width") {
-            width = static_cast<unsigned>(std::atoi(value().c_str()));
+            number(width);
             if (width == 0)
                 usage();
         } else {
