@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cstdint>
+#include <fstream>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -938,6 +939,17 @@ assembleOrDie(std::string_view source)
     if (!result.ok())
         ddsc_fatal("assembly failed:\n%s", result.errorText().c_str());
     return std::move(result.program);
+}
+
+Program
+assembleFileOrDie(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    if (!in)
+        ddsc_fatal("cannot open '%s'", path.c_str());
+    std::ostringstream buffer;
+    buffer << in.rdbuf();
+    return assembleOrDie(buffer.str());
 }
 
 } // namespace ddsc

@@ -88,6 +88,11 @@ AsmResult assemble(std::string_view source);
  */
 Program assembleOrDie(std::string_view source);
 
+/** Read the assembly file @p path and assembleOrDie() it; fatal() when
+ *  the file cannot be opened.  The tools' entry point for a program
+ *  given by path. */
+Program assembleFileOrDie(const std::string &path);
+
 } // namespace ddsc
 
 #endif // DDSC_MASM_ASSEMBLER_HH

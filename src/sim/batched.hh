@@ -7,9 +7,9 @@
  * none of them trains a load predictor).
  *
  * runBatchedGroup() is how every cell is simulated: ExperimentDriver
- * runs its sweeps, its single cells, and their retries through
- * runBatchedGroupWithRetry() below, as do ddsc-sim's config sweeps,
- * and bench_sched times the same path.  Per-cell results do not depend on the
+ * runs its sweeps (ddsc-sim's included), its single cells, and their
+ * retries through runBatchedGroupWithRetry() below, and bench_sched
+ * times the same path.  Per-cell results do not depend on the
  * grouping or the chunk size, and equal the naive reference engine's
  * (tests/batched_equiv_test.cpp is the oracle); only wallNanos
  * differs, carrying each cell's own back-end time plus an equal share
@@ -86,10 +86,10 @@ BatchedGroupResult runBatchedGroup(
     const std::vector<support::CancelToken> &tokens = {});
 
 /**
- * runBatchedGroup() with bounded retry, the one fault-containment
- * policy of the driver and ddsc-sim.  A cell that fails in the shared
- * pass is retried alone, as a one-cell group over a fresh cursor,
- * until it has had kCellAttempts attempts: a transient fault recovers
+ * runBatchedGroup() with bounded retry, the driver's one
+ * fault-containment policy.  A cell that fails in the shared pass is
+ * retried alone, as a one-cell group over a fresh cursor, until it
+ * has had kCellAttempts attempts: a transient fault recovers
  * (warning "cell '<key>' recovered on attempt N of 3") and a
  * persistent one comes back !ok with the last attempt's error (each
  * failure warns "cell '<key>' failed (attempt N of 3): <error>").  A

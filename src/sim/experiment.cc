@@ -82,6 +82,13 @@ ExperimentDriver::traceDigest(const WorkloadSpec &spec)
 }
 
 void
+ExperimentDriver::adoptTrace(const WorkloadSpec &spec,
+                             std::unique_ptr<const SharedTrace> trace)
+{
+    traceStore_.adopt(spec.name, std::move(trace));
+}
+
+void
 ExperimentDriver::setTraceDir(const std::string &dir)
 {
     traceStore_.setSpillDir(dir);
@@ -394,6 +401,7 @@ ExperimentDriver::resolve(const std::vector<PendingCell> &cells)
                            missing[i].digest, results[i].stats);
         }
         ++simulated_;
+        simulatedNanos_ += results[i].stats.wallNanos;
         // The finished result clears any provisional watchdog
         // quarantine applied while this cell was stuck in flight.
         quarantine_.erase(key);
@@ -457,13 +465,10 @@ ExperimentDriver::quarantineReport() const
 double
 ExperimentDriver::cachedCellSeconds() const
 {
-    // Callers may poll progress while a prefetch() is filling cache_
-    // on worker threads; iterating unlocked would be a data race.
+    // Callers may poll progress while a prefetch() is publishing on
+    // another thread; reading unlocked would be a data race.
     std::lock_guard<std::mutex> lock(mutex_);
-    double seconds = 0.0;
-    for (const auto &[key, stats] : cache_)
-        seconds += static_cast<double>(stats.wallNanos) * 1e-9;
-    return seconds;
+    return static_cast<double>(simulatedNanos_) * 1e-9;
 }
 
 std::size_t

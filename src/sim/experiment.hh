@@ -26,8 +26,9 @@
  * by the same deterministic scheduler over a private trace cursor, and
  * the reductions always read cells in the caller-given set order.
  *
- * The environment variable DDSC_TRACE_LIMIT truncates every trace to
- * at most that many instructions — the same rule the paper applied at
+ * The environment variable DDSC_TRACE_LIMIT truncates every workload
+ * trace the driver builds (an adopted one is used as given) to at
+ * most that many instructions — the same rule the paper applied at
  * 250M ("only the first 250 million instructions of each benchmark
  * trace were simulated").  Use it to make quick bench runs cheap.
  *
@@ -307,14 +308,26 @@ class ExperimentDriver
     double meanLoadClassPct(const std::vector<const WorkloadSpec *> &set,
                             char config, unsigned width, LoadClass cls);
 
-    /** The trace (cached, truncated) for one workload; read it
-     *  through cursor(). */
+    /** The trace (cached; truncated unless adopted) for one
+     *  workload; read it through cursor(). */
     const SharedTrace &trace(const WorkloadSpec &spec);
 
     /** Content digest of trace(spec), computed exactly once per
      *  workload (TraceStore latches it).  Keys the persistent result
      *  store together with the machine fingerprint. */
     std::uint64_t traceDigest(const WorkloadSpec &spec);
+
+    /**
+     * Serve @p trace as @p spec's trace, so cells of @p spec sweep it
+     * instead of a VM build: ddsc-sim runs its --workload, --asm and
+     * --trace inputs through here.  The trace is used as given (the
+     * trace limit never truncates it, and it is neither rescaled nor
+     * spilled); cells are named and stored under spec.name.  @p spec
+     * must outlive the driver.  Dies when spec's trace is already
+     * built.
+     */
+    void adoptTrace(const WorkloadSpec &spec,
+                    std::unique_ptr<const SharedTrace> trace);
 
     /**
      * Spill VM-generated traces to DDSCTRC v4 files under @p dir and
@@ -343,8 +356,9 @@ class ExperimentDriver
     /** Number of cached cells (safe to call during a prefetch). */
     std::size_t cachedCells() const;
 
-    /** Cumulative scheduler wall time over all cached cells, in
-     *  seconds — compare against elapsed time to see the parallel
+    /** Cumulative scheduler wall time of the cells this driver
+     *  simulated, in seconds (store hits ran elsewhere and count
+     *  nothing) — compare against elapsed time to see the parallel
      *  speedup.  Safe to call during a prefetch. */
     double cachedCellSeconds() const;
 
@@ -397,8 +411,10 @@ class ExperimentDriver
     ResultStore *store_ = nullptr;      ///< optional, not owned
     std::size_t storeHits_ = 0;
     std::size_t simulated_ = 0;         ///< cells actually run
-    /** Guards cache_ / quarantine_ / storeHits_ / simulated_ during
-     *  parallel prefetch (mutable: const observers lock it too). */
+    std::uint64_t simulatedNanos_ = 0;  ///< their summed wallNanos
+    /** Guards cache_ / quarantine_ / storeHits_ / simulated_ /
+     *  simulatedNanos_ during parallel prefetch (mutable: const
+     *  observers lock it too). */
     mutable std::mutex mutex_;
 };
 

@@ -53,6 +53,21 @@ TraceStore::digest(const WorkloadSpec &spec)
     return s.digest;
 }
 
+void
+TraceStore::adopt(const std::string &name,
+                  std::unique_ptr<const SharedTrace> trace)
+{
+    Slot &s = slot(name);
+    bool adopted = false;
+    std::call_once(s.build, [&]() {
+        s.trace = std::move(trace);
+        adopted = true;
+    });
+    if (!adopted)
+        ddsc_fatal("cannot adopt a trace for '%s': its trace is already "
+                   "built", name.c_str());
+}
+
 std::unique_ptr<const SharedTrace>
 TraceStore::materialize(const WorkloadSpec &spec, Slot &s)
 {

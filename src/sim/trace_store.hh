@@ -74,6 +74,13 @@ class TraceStore
     /** Content digest of get(spec), computed exactly once. */
     std::uint64_t digest(const WorkloadSpec &spec);
 
+    /** Serve @p trace as @p name's trace: fills the slot through the
+     *  once-latch get() builds under, so the trace is never truncated,
+     *  rescaled or spilled, and its digest is still computed once.
+     *  Dies when @p name's trace is already built. */
+    void adopt(const std::string &name,
+               std::unique_ptr<const SharedTrace> trace);
+
     /** LRU-touch @p trace before sweeping it (no-op for in-memory
      *  traces). */
     void touch(const SharedTrace &trace) { residency_.touch(trace); }

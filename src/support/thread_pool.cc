@@ -1,8 +1,6 @@
 #include "thread_pool.hh"
 
-#include <atomic>
 #include <cstdlib>
-#include <map>
 
 #include "support/decimal.hh"
 #include "support/logging.hh"
@@ -101,49 +99,6 @@ ThreadPool::workerLoop()
                 idle_.notify_all();
         }
     }
-}
-
-void
-parallelFor(std::size_t n, unsigned jobs,
-            const std::function<void(std::size_t)> &body)
-{
-    if (n == 0)
-        return;
-    if (jobs <= 1 || n == 1) {
-        for (std::size_t i = 0; i < n; ++i)
-            body(i);
-        return;
-    }
-
-    std::atomic<std::size_t> next{0};
-    std::mutex failures_mutex;
-    std::map<std::size_t, std::exception_ptr> failures;
-
-    auto drain = [&]() {
-        for (;;) {
-            const std::size_t i = next.fetch_add(1);
-            if (i >= n)
-                return;
-            try {
-                body(i);
-            } catch (...) {
-                std::unique_lock<std::mutex> lock(failures_mutex);
-                failures.emplace(i, std::current_exception());
-            }
-        }
-    };
-
-    {
-        const unsigned pool_jobs = static_cast<unsigned>(
-            std::min<std::size_t>(jobs, n));
-        ThreadPool pool(pool_jobs);
-        for (unsigned j = 0; j < pool_jobs; ++j)
-            pool.post(drain);
-        pool.wait();
-    }
-
-    if (!failures.empty())
-        std::rethrow_exception(failures.begin()->second);
 }
 
 } // namespace ddsc::support

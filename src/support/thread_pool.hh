@@ -10,10 +10,6 @@
  *  - wait() drains the queue *and* all in-flight tasks, after which
  *    the pool is reusable (the test suite exercises reuse-after-drain
  *    explicitly).
- *  - parallelFor() is the deterministic fan-out helper the experiment
- *    driver builds on: indices are claimed from an atomic counter, and
- *    when tasks throw, the exception for the *lowest* index is
- *    rethrown so failures do not depend on scheduling order.
  */
 
 #ifndef DDSC_SUPPORT_THREAD_POOL_HH
@@ -94,27 +90,6 @@ class ThreadPool
     std::size_t active_ = 0;    ///< tasks currently executing
     bool stopping_ = false;
 };
-
-/**
- * Run body(0..n-1) across up to @p jobs threads and block until all
- * indices completed.  jobs <= 1 (or n <= 1) executes inline on the
- * caller.
- *
- * Exception-ordering contract: if one or more invocations throw, the
- * exception from the *lowest-throwing index* is rethrown — and only
- * after every index has either completed or thrown (no task is left
- * running when the rethrow happens).  The choice is independent of
- * thread scheduling: two concurrent throws at indices i < j always
- * surface i's exception, on every run, so a parallel sweep fails
- * deterministically and a caller that retries "the failing cell" is
- * always retrying the same one.  Exceptions from the other indices
- * are discarded; callers that must observe every failure (the
- * experiment driver's quarantine) catch inside @p body instead of
- * relying on the rethrow.  tests/thread_pool_test.cpp pins this
- * contract, including the two-workers-throw-concurrently case.
- */
-void parallelFor(std::size_t n, unsigned jobs,
-                 const std::function<void(std::size_t)> &body);
 
 } // namespace ddsc::support
 

@@ -1,7 +1,8 @@
 /**
  * @file
  * On-disk DDSCTRC trace layouts, shared by the streaming reader/writer
- * (trace_file.cc) and the mmap'd reader (mapped.cc).
+ * (trace_file.cc) and the mmap'd reader (mapped.cc), and the v4
+ * layout checks both readers run at open (format.cc).
  *
  * All three versions store fixed-size packed structs in little-endian
  * byte order.  v2/v3 predate the mmap path and were historically
@@ -46,6 +47,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <string>
 
 #include "trace/record.hh"
 
@@ -146,6 +148,51 @@ v4RecordsPerBlock(std::uint32_t blockSize)
 {
     return blockSize / sizeof(DiskRecord);
 }
+
+/** Byte offset of v4 block @p block. */
+constexpr std::uint64_t
+v4BlockOffset(std::uint64_t block, std::uint32_t blockSize)
+{
+    return kV4HeaderBytes + block * blockSize;
+}
+
+/** Where a v4 file's blocks and footer lie, from its header. */
+struct V4Geometry
+{
+    std::uint64_t perBlock;     ///< records per block
+    std::uint64_t numBlocks;
+    std::uint64_t footerOff;    ///< byte offset of the V4FooterHead
+    std::uint64_t footerBytes;  ///< footer head + CRC table + tableCrc
+};
+
+/**
+ * Die when a header's record @p count has a byte span that overflows a
+ * u64 (a length bomb): checked before any offset arithmetic, so a
+ * count near 2^64 cannot wrap into a small size the truncation checks
+ * then accept.  Counts that fit but exceed the file size are left to
+ * those checks.  Every version's reader runs it.
+ */
+void rejectLengthBomb(const std::string &path, std::uint64_t count);
+
+/**
+ * The v4 layout checks of both readers, run after each reader's own
+ * magic and version checks: the header CRC, the record and block
+ * sizes, the header page, the length bomb, then @p fileSize against
+ * the size the header's count implies (truncation, naming the block
+ * it cut, and trailing garbage).  Dies naming the first fault;
+ * returns the file's geometry otherwise.
+ */
+V4Geometry checkV4Layout(const std::string &path, const V4Header &hdr,
+                         std::uint64_t fileSize);
+
+/**
+ * The footer checks of both readers: the magic, the block count and
+ * the CRC table's own checksum, over the @p geo.footerBytes bytes at
+ * @p footer of a file that passed checkV4Layout().  Dies naming the
+ * first fault.
+ */
+void checkV4Footer(const std::string &path, const unsigned char *footer,
+                   const V4Geometry &geo);
 
 inline DiskRecord
 pack(const TraceRecord &rec)

@@ -120,9 +120,9 @@ MappedTraceSource::MappedTraceSource(const std::string &path)
                    static_cast<unsigned long long>(size_));
     base_ = static_cast<const unsigned char *>(map);
 
-    // Structural validation, eager and O(blocks): everything the
-    // streaming reader checks at open except the per-block record
-    // CRCs, which validateBlock() settles lazily.
+    // Structural validation, eager and O(blocks): the streaming
+    // reader's open-time layout checks (trace/format.hh); the
+    // per-block record CRCs are settled lazily by validateBlock().
     V4Header hdr;
     std::memcpy(&hdr, base_, sizeof hdr);
     if (std::memcmp(hdr.magic, kMagic, sizeof kMagic) != 0)
@@ -132,111 +132,18 @@ MappedTraceSource::MappedTraceSource(const std::string &path)
                    "reader serves only v4; use the streaming reader "
                    "or rebuild the trace with ddsc-asm",
                    path.c_str(), hdr.version);
-    if (hdr.headerCrc != support::wire::crc32(
-            &hdr, offsetof(V4Header, headerCrc), 0))
-        ddsc_fatal("trace file '%s': header CRC mismatch; the header "
-                   "is corrupt", path.c_str());
-    if (hdr.recordBytes != sizeof(DiskRecord))
-        ddsc_fatal("trace file '%s': header says %u-byte records but "
-                   "this build uses %llu-byte records",
-                   path.c_str(), hdr.recordBytes,
-                   static_cast<unsigned long long>(sizeof(DiskRecord)));
-    if (hdr.blockSize == 0 || hdr.blockSize % kV4HeaderBytes != 0 ||
-        hdr.blockSize > kV4MaxBlockSize)
-        ddsc_fatal("trace file '%s': invalid block size %u (must be a "
-                   "nonzero multiple of %u, at most %u)",
-                   path.c_str(), hdr.blockSize, kV4HeaderBytes,
-                   kV4MaxBlockSize);
-    if (size_ < kV4HeaderBytes)
-        ddsc_fatal("trace file '%s' truncated inside its header page: "
-                   "%llu of %u bytes", path.c_str(),
-                   static_cast<unsigned long long>(size_),
-                   kV4HeaderBytes);
-    // Length-bomb guard before any offset arithmetic (same bound as
-    // the streaming reader).
-    constexpr std::uint64_t kMaxRepresentable =
-        ~0ull / (sizeof(DiskRecord) * 4);
-    if (hdr.count > kMaxRepresentable)
-        ddsc_fatal("trace file '%s': header promises %llu records, "
-                   "whose byte span overflows a 64-bit offset; the "
-                   "count field is corrupt (length bomb) and is "
-                   "rejected before any offset arithmetic",
-                   path.c_str(),
-                   static_cast<unsigned long long>(hdr.count));
-
+    const V4Geometry geo = checkV4Layout(path, hdr, size_);
     blockSize_ = hdr.blockSize;
-    perBlock_ = v4RecordsPerBlock(blockSize_);
+    perBlock_ = geo.perBlock;
     count_ = hdr.count;
     digest_ = hdr.digest;
-    numBlocks_ =
-        count_ == 0 ? 0 : (count_ + perBlock_ - 1) / perBlock_;
-
-    const std::uint64_t footerOff =
-        kV4HeaderBytes + numBlocks_ * blockSize_;
-    const std::uint64_t expected =
-        footerOff + sizeof(V4FooterHead) +
-        numBlocks_ * sizeof(std::uint32_t) + sizeof(std::uint32_t);
-    if (size_ < expected) {
-        if (size_ < footerOff) {
-            const std::uint64_t block =
-                (size_ - kV4HeaderBytes) / blockSize_;
-            const std::uint64_t firstRec = block * perBlock_;
-            ddsc_fatal("trace file '%s' truncated: header promises "
-                       "%llu records in %llu blocks (%llu bytes) but "
-                       "the file ends at byte offset %llu, inside "
-                       "block %llu (records %llu..%llu)",
-                       path.c_str(),
-                       static_cast<unsigned long long>(count_),
-                       static_cast<unsigned long long>(numBlocks_),
-                       static_cast<unsigned long long>(expected),
-                       static_cast<unsigned long long>(size_),
-                       static_cast<unsigned long long>(block),
-                       static_cast<unsigned long long>(firstRec),
-                       static_cast<unsigned long long>(
-                           std::min(count_, firstRec + perBlock_) - 1));
-        }
-        ddsc_fatal("trace file '%s' truncated inside its footer: the "
-                   "CRC table needs bytes %llu..%llu but the file "
-                   "ends at %llu",
-                   path.c_str(),
-                   static_cast<unsigned long long>(footerOff),
-                   static_cast<unsigned long long>(expected),
-                   static_cast<unsigned long long>(size_));
-    }
-    if (size_ > expected)
-        ddsc_fatal("trace file '%s' has %llu bytes of trailing "
-                   "garbage after its footer (byte offset %llu); the "
-                   "count field and file size disagree",
-                   path.c_str(),
-                   static_cast<unsigned long long>(size_ - expected),
-                   static_cast<unsigned long long>(expected));
-
-    V4FooterHead head;
-    std::memcpy(&head, base_ + footerOff, sizeof head);
-    if (std::memcmp(head.magic, kFooterMagic, sizeof kFooterMagic) != 0)
-        ddsc_fatal("trace file '%s': footer magic missing at byte "
-                   "offset %llu; the file was not finalized",
-                   path.c_str(),
-                   static_cast<unsigned long long>(footerOff));
-    if (head.blockCount != numBlocks_)
-        ddsc_fatal("trace file '%s': footer lists %u blocks but the "
-                   "header count implies %llu",
-                   path.c_str(), head.blockCount,
-                   static_cast<unsigned long long>(numBlocks_));
+    numBlocks_ = geo.numBlocks;
+    checkV4Footer(path, base_ + geo.footerOff, geo);
     // The CRC table is 4-byte aligned in the file (header page and
     // blocks are 4096-multiples, the footer head is 16 bytes), so it
     // can be pointed at in place.
     blockCrcs_ = reinterpret_cast<const std::uint32_t *>(
-        base_ + footerOff + sizeof(V4FooterHead));
-    std::uint32_t tableCrc;
-    std::memcpy(&tableCrc,
-                base_ + footerOff + sizeof(V4FooterHead) +
-                    numBlocks_ * sizeof(std::uint32_t),
-                sizeof tableCrc);
-    if (tableCrc != support::wire::crc32(
-            blockCrcs_, numBlocks_ * sizeof(std::uint32_t), 0))
-        ddsc_fatal("trace file '%s': block CRC table is corrupt "
-                   "(table checksum mismatch)", path.c_str());
+        base_ + geo.footerOff + sizeof(V4FooterHead));
 
     blockState_ =
         std::make_unique<std::atomic<std::uint8_t>[]>(numBlocks_);

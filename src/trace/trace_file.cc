@@ -27,7 +27,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <limits>
 #include <sys/stat.h>
 
 #include "support/fault.hh"
@@ -59,13 +58,6 @@ recordOffset(std::uint64_t index)
     return sizeof(FileHeader) + index * sizeof(DiskRecord);
 }
 
-/** Byte offset of v4 block @p block. */
-std::uint64_t
-v4BlockOffset(std::uint64_t block, std::uint32_t blockSize)
-{
-    return kV4HeaderBytes + block * blockSize;
-}
-
 /** Size of @p file in bytes via fstat (the file stays open). */
 std::uint64_t
 fileSize(std::FILE *file, const std::string &path)
@@ -74,32 +66,6 @@ fileSize(std::FILE *file, const std::string &path)
     if (fstat(fileno(file), &st) != 0)
         ddsc_fatal("cannot stat trace file '%s'", path.c_str());
     return static_cast<std::uint64_t>(st.st_size);
-}
-
-/**
- * Reject a header record count whose byte span cannot be represented
- * in a u64 — before any multiplication, so a length-bomb count near
- * 2^64 cannot wrap recordOffset()/expected-size arithmetic into a
- * small value the size cross-check then accepts (and the checksum
- * loop spins on).  Counts that fit in u64 but exceed the stat'd file
- * size flow on to the precise truncation diagnostics instead.
- * The divisor leaves generous headroom for header, block padding, and
- * footer-table overhead on top of the 40 record bytes.
- */
-void
-rejectLengthBomb(const std::string &path, std::uint64_t count)
-{
-    constexpr std::uint64_t kMaxRepresentable =
-        std::numeric_limits<std::uint64_t>::max() /
-        (sizeof(DiskRecord) * 4);
-    if (count > kMaxRepresentable) {
-        ddsc_fatal("trace file '%s': header promises %llu records, "
-                   "whose byte span overflows a 64-bit offset; the "
-                   "count field is corrupt (length bomb) and is "
-                   "rejected before any offset arithmetic",
-                   path.c_str(),
-                   static_cast<unsigned long long>(count));
-    }
 }
 
 } // anonymous namespace
@@ -339,115 +305,28 @@ TraceFileSource::TraceFileSource(const std::string &path) : path_(path)
             ddsc_fatal("'%s' is too small for a v4 trace header "
                        "(%llu bytes needed)", path.c_str(),
                        static_cast<unsigned long long>(sizeof v4));
-        if (v4.headerCrc != support::wire::crc32(
-                &v4, offsetof(V4Header, headerCrc), 0))
-            ddsc_fatal("trace file '%s': header CRC mismatch; the "
-                       "header is corrupt", path.c_str());
-        if (v4.recordBytes != sizeof(DiskRecord))
-            ddsc_fatal("trace file '%s': header says %u-byte records "
-                       "but this build uses %llu-byte records",
-                       path.c_str(), v4.recordBytes,
-                       static_cast<unsigned long long>(
-                           sizeof(DiskRecord)));
-        if (v4.blockSize == 0 ||
-            v4.blockSize % kV4HeaderBytes != 0 ||
-            v4.blockSize > kV4MaxBlockSize)
-            ddsc_fatal("trace file '%s': invalid block size %u (must "
-                       "be a nonzero multiple of %u, at most %u)",
-                       path.c_str(), v4.blockSize, kV4HeaderBytes,
-                       kV4MaxBlockSize);
-        if (size < kV4HeaderBytes)
-            ddsc_fatal("trace file '%s' truncated inside its header "
-                       "page: %llu of %u bytes", path.c_str(),
-                       static_cast<unsigned long long>(size),
-                       kV4HeaderBytes);
-        rejectLengthBomb(path, v4.count);
+        const V4Geometry geo = checkV4Layout(path, v4, size);
         blockSize_ = v4.blockSize;
-        perBlock_ = v4RecordsPerBlock(blockSize_);
+        perBlock_ = geo.perBlock;
         count_ = v4.count;
         headerDigest_ = v4.digest;
 
-        const std::uint64_t numBlocks =
-            count_ == 0 ? 0 : (count_ + perBlock_ - 1) / perBlock_;
-        const std::uint64_t footerOff =
-            v4BlockOffset(numBlocks, blockSize_);
-        const std::uint64_t expected =
-            footerOff + sizeof(V4FooterHead) +
-            numBlocks * sizeof(std::uint32_t) + sizeof(std::uint32_t);
-        if (size < expected) {
-            if (size < footerOff) {
-                const std::uint64_t block =
-                    (size - kV4HeaderBytes) / blockSize_;
-                const std::uint64_t firstRec = block * perBlock_;
-                ddsc_fatal(
-                    "trace file '%s' truncated: header promises %llu "
-                    "records in %llu blocks (%llu bytes) but the file "
-                    "ends at byte offset %llu, inside block %llu "
-                    "(records %llu..%llu)",
-                    path.c_str(),
-                    static_cast<unsigned long long>(count_),
-                    static_cast<unsigned long long>(numBlocks),
-                    static_cast<unsigned long long>(expected),
-                    static_cast<unsigned long long>(size),
-                    static_cast<unsigned long long>(block),
-                    static_cast<unsigned long long>(firstRec),
-                    static_cast<unsigned long long>(
-                        std::min(count_, firstRec + perBlock_) - 1));
-            }
-            ddsc_fatal("trace file '%s' truncated inside its footer: "
-                       "the CRC table needs bytes %llu..%llu but the "
-                       "file ends at %llu",
-                       path.c_str(),
-                       static_cast<unsigned long long>(footerOff),
-                       static_cast<unsigned long long>(expected),
-                       static_cast<unsigned long long>(size));
-        }
-        if (size > expected) {
-            ddsc_fatal("trace file '%s' has %llu bytes of trailing "
-                       "garbage after its footer (byte offset %llu); "
-                       "the count field and file size disagree",
-                       path.c_str(),
-                       static_cast<unsigned long long>(size - expected),
-                       static_cast<unsigned long long>(expected));
-        }
-
-        // Read and verify the CRC table now; individual blocks are
+        // Read and verify the footer now; individual blocks are
         // checked lazily as the stream crosses them.
-        if (std::fseek(file_, static_cast<long>(footerOff),
+        std::vector<unsigned char> footer(geo.footerBytes);
+        if (std::fseek(file_, static_cast<long>(geo.footerOff),
                        SEEK_SET) != 0)
             ddsc_fatal("cannot seek to footer of trace file '%s'",
                        path.c_str());
-        V4FooterHead head = {};
-        if (std::fread(&head, sizeof head, 1, file_) != 1)
+        if (std::fread(footer.data(), footer.size(), 1, file_) != 1)
             ddsc_fatal("trace file '%s': cannot read footer",
                        path.c_str());
-        if (std::memcmp(head.magic, kFooterMagic,
-                        sizeof kFooterMagic) != 0)
-            ddsc_fatal("trace file '%s': footer magic missing at byte "
-                       "offset %llu; the file was not finalized",
-                       path.c_str(),
-                       static_cast<unsigned long long>(footerOff));
-        if (head.blockCount != numBlocks)
-            ddsc_fatal("trace file '%s': footer lists %u blocks but "
-                       "the header count implies %llu",
-                       path.c_str(), head.blockCount,
-                       static_cast<unsigned long long>(numBlocks));
-        blockCrcs_.resize(numBlocks);
-        if (numBlocks > 0 &&
-            std::fread(blockCrcs_.data(),
-                       numBlocks * sizeof(std::uint32_t), 1,
-                       file_) != 1)
-            ddsc_fatal("trace file '%s': cannot read block CRC table",
-                       path.c_str());
-        std::uint32_t tableCrc = 0;
-        if (std::fread(&tableCrc, sizeof tableCrc, 1, file_) != 1)
-            ddsc_fatal("trace file '%s': cannot read CRC table "
-                       "checksum", path.c_str());
-        if (tableCrc != support::wire::crc32(
-                blockCrcs_.data(),
-                numBlocks * sizeof(std::uint32_t), 0))
-            ddsc_fatal("trace file '%s': block CRC table is corrupt "
-                       "(table checksum mismatch)", path.c_str());
+        checkV4Footer(path, footer.data(), geo);
+        blockCrcs_.resize(geo.numBlocks);
+        if (geo.numBlocks > 0)
+            std::memcpy(blockCrcs_.data(),
+                        footer.data() + sizeof(V4FooterHead),
+                        geo.numBlocks * sizeof(std::uint32_t));
         reset();
         return;
     }

@@ -12,6 +12,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <limits>
+#include <memory>
 #include <string>
 #include <thread>
 
@@ -225,6 +226,57 @@ TEST(Experiment, MachinePrefetchMatchesNaiveEngine)
     }
     // Reading the prefetched cells simulated nothing more.
     EXPECT_EQ(pooled.simulatedCells(), cells.size());
+}
+
+TEST(Experiment, AdoptedTraceMatchesBuiltInTrace)
+{
+    // ddsc-sim's path: a trace built outside the driver and adopted
+    // under a name of its own runs through the one cell path exactly
+    // as the built-in workload's trace does.  A and C share a front
+    // end; D trains the load predictor and takes a pass of its own.
+    const WorkloadSpec &li = findWorkload("li");
+    const std::vector<MachineConfig> machines = {
+        MachineConfig::paper('A', 8), MachineConfig::paper('C', 8),
+        MachineConfig::paper('D', 8)};
+    ASSERT_EQ(machines[0].frontEndFingerprint(),
+              machines[1].frontEndFingerprint());
+    ASSERT_NE(machines[0].frontEndFingerprint(),
+              machines[2].frontEndFingerprint());
+
+    // The trace limit never truncates an adopted trace.
+    WorkloadSpec adopted{};
+    adopted.name = "li-adopted";
+    ExperimentDriver d(1000, /*test_scale=*/true, 2);
+    d.adoptTrace(adopted, std::make_unique<VectorTraceSource>(
+                              traceWorkload(li, li.testScale)));
+    ExperimentDriver builtin(0, /*test_scale=*/true, 1);
+    ASSERT_GT(builtin.trace(li).recordCount(), 1000u);
+    EXPECT_EQ(d.trace(adopted).recordCount(),
+              builtin.trace(li).recordCount());
+    EXPECT_EQ(d.traceDigest(adopted), builtin.traceDigest(li));
+
+    // A name whose trace is built, adopted or generated, is taken.
+    // (Checked before either driver starts its worker threads.)
+    EXPECT_EXIT(d.adoptTrace(adopted,
+                             std::make_unique<VectorTraceSource>()),
+                testing::ExitedWithCode(1),
+                "cannot adopt a trace for 'li-adopted': its trace is "
+                "already built");
+    EXPECT_EXIT(builtin.adoptTrace(li,
+                                   std::make_unique<VectorTraceSource>()),
+                testing::ExitedWithCode(1), "'li': its trace is already");
+
+    std::vector<MachineCell> cells;
+    for (const MachineConfig &config : machines)
+        cells.push_back({&adopted, config});
+    d.prefetch(cells);
+    EXPECT_EQ(d.simulatedCells(), machines.size());
+    for (const MachineConfig &config : machines) {
+        EXPECT_EQ(digestSchedStats(d.statsFor(adopted, config)),
+                  digestSchedStats(builtin.statsFor(li, config)))
+            << config.name;
+    }
+    EXPECT_EQ(d.simulatedCells(), machines.size());
 }
 
 // --- DDSC_TRACE_LIMIT parsing ----------------------------------------
@@ -750,6 +802,32 @@ TEST(Durability, ConcurrentIdenticalPrefetchesCountStoreHitsOnce)
     EXPECT_EQ(d.storeHits(), cells.size());
     EXPECT_EQ(d.simulatedCells(), 0u);
     EXPECT_EQ(d.cachedCells(), cells.size());
+}
+
+TEST(Durability, ResumedCellsCountNoSimulationTime)
+{
+    // ddsc-matrix's "Xs of simulation" line reads cachedCellSeconds():
+    // cells resumed from the store ran in an earlier process and add
+    // nothing to it.
+    const auto dir = scratchStoreDir("exp-store-no-sim-time");
+    const WorkloadSpec &spec = findWorkload("espresso");
+    const std::vector<ExperimentCell> cells = {{&spec, 'A', 4},
+                                               {&spec, 'D', 8}};
+    {
+        ExperimentDriver d(4000, /*test_scale=*/true, 2);
+        ResultStore store(dir);
+        d.attachStore(&store);
+        d.prefetch(cells);
+        EXPECT_GT(d.cachedCellSeconds(), 0.0);
+    }
+
+    ExperimentDriver d(4000, /*test_scale=*/true, 2);
+    ResultStore store(dir);
+    d.attachStore(&store);
+    d.prefetch(cells);
+    EXPECT_EQ(d.storeHits(), cells.size());
+    EXPECT_EQ(d.simulatedCells(), 0u);
+    EXPECT_EQ(d.cachedCellSeconds(), 0.0);
 }
 
 #ifndef DDSC_NO_FAULT_INJECTION

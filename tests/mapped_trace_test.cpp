@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <gtest/gtest.h>
 #include <thread>
 #include <vector>
@@ -322,6 +323,9 @@ TEST(MappedDeathTest, TruncationMidBlockNamesTheBlock)
     EXPECT_EXIT({ MappedTraceSource mapped(path); },
                 testing::ExitedWithCode(1),
                 "inside block 1 \\(records 102\\.\\.203\\)");
+    EXPECT_EXIT({ TraceFileSource reader(path); },
+                testing::ExitedWithCode(1),
+                "inside block 1 \\(records 102\\.\\.203\\)");
     std::remove(path.c_str());
 }
 
@@ -334,6 +338,85 @@ TEST(MappedDeathTest, TruncationInsideFooterIsDistinguished)
     EXPECT_EXIT({ MappedTraceSource mapped(path); },
                 testing::ExitedWithCode(1),
                 "truncated inside its footer");
+    EXPECT_EXIT({ TraceFileSource reader(path); },
+                testing::ExitedWithCode(1),
+                "truncated inside its footer");
+    std::remove(path.c_str());
+}
+
+TEST(MappedDeathTest, LayoutFaultsAreNamedByBothReaders)
+{
+    // Both readers run the same open-time layout checks, so every
+    // layout fault gets the same diagnosis from either.  Header faults
+    // re-stamp the header CRC, so the check under test is the one that
+    // fires.  250 records are three blocks; the footer is its 16-byte
+    // head, three table CRCs and the table's own CRC.
+    const std::string path = writeV4("v4_layout_faults.trc", 250);
+    const std::string clean = slurp(path);
+    const std::size_t footer = clean.size() - (16 + 3 * 4 + 4);
+    ASSERT_EQ(footer, 4096 + 3 * kBlock);
+    const auto put32 = [](std::string &b, std::size_t at,
+                          std::uint32_t v) {
+        std::memcpy(&b[at], &v, sizeof v);
+    };
+    const auto putCount = [](std::string &b, std::uint64_t count) {
+        std::memcpy(&b[16], &count, sizeof count);  // V4Header.count
+    };
+    const auto restamp = [](std::string &b) {
+        const std::uint32_t crc = support::wire::crc32(b.data(), 36, 0);
+        std::memcpy(&b[36], &crc, sizeof crc);      // V4Header.headerCrc
+    };
+    struct Fault
+    {
+        const char *what;
+        std::function<void(std::string &)> corrupt;
+        const char *message;
+    };
+    const std::vector<Fault> faults = {
+        {"header CRC", [](std::string &b) { b[24] ^= 1; },
+         "header CRC mismatch; the header is corrupt"},
+        {"record size",
+         [&](std::string &b) { put32(b, 32, 48); restamp(b); },
+         "header says 48-byte records but this build uses 40-byte "
+         "records"},
+        {"block size",
+         [&](std::string &b) { put32(b, 12, 1000); restamp(b); },
+         "invalid block size 1000 \\(must be a nonzero multiple of "
+         "4096, at most 1073741824\\)"},
+        {"header page", [](std::string &b) { b.resize(100); },
+         "truncated inside its header page: 100 of 4096 bytes"},
+        {"length bomb",
+         [&](std::string &b) { putCount(b, ~0ull - 7); restamp(b); },
+         "header promises 18446744073709551608 records, whose byte "
+         "span overflows a 64-bit offset"},
+        {"count past the end",
+         [&](std::string &b) { putCount(b, 400); restamp(b); },
+         "header promises 400 records in 4 blocks \\(20516 bytes\\) "
+         "but the file ends at byte offset 16416, inside block 3 "
+         "\\(records 306\\.\\.399\\)"},
+        {"count short of the end",
+         [&](std::string &b) { putCount(b, 100); restamp(b); },
+         "has 8200 bytes of trailing garbage after its footer "
+         "\\(byte offset 8216\\)"},
+        {"footer magic", [&](std::string &b) { b[footer] ^= 0x20; },
+         "footer magic missing at byte offset 16384; the file was not "
+         "finalized"},
+        {"block count", [&](std::string &b) { put32(b, footer + 8, 2); },
+         "footer lists 2 blocks but the header count implies 3"},
+        {"table CRC", [&](std::string &b) { b[footer + 16] ^= 1; },
+         "block CRC table is corrupt \\(table checksum mismatch\\)"},
+    };
+    for (const Fault &fault : faults) {
+        std::string bytes = clean;
+        fault.corrupt(bytes);
+        spew(path, bytes);
+        EXPECT_EXIT({ MappedTraceSource mapped(path); },
+                    testing::ExitedWithCode(1), fault.message)
+            << fault.what;
+        EXPECT_EXIT({ TraceFileSource reader(path); },
+                    testing::ExitedWithCode(1), fault.message)
+            << fault.what;
+    }
     std::remove(path.c_str());
 }
 

@@ -1,9 +1,9 @@
 /**
  * @file
- * Property-style coverage of ddsc::support::ThreadPool and
- * parallelFor: results independent of task ordering, exception
- * propagation, zero-task shutdown, oversubscription (far more tasks
- * than threads), reuse after a drain, and the DDSC_JOBS policy.
+ * Property-style coverage of ddsc::support::ThreadPool: results
+ * independent of task ordering, exception propagation, zero-task
+ * shutdown, oversubscription (far more tasks than threads), reuse
+ * after a drain, and the DDSC_JOBS policy.
  */
 
 #include <gtest/gtest.h>
@@ -127,109 +127,6 @@ TEST(ThreadPool, DestructorRunsPendingTasks)
         }
     }
     EXPECT_EQ(count.load(), 32);
-}
-
-TEST(ParallelFor, ResultsIndependentOfOrdering)
-{
-    // Each index writes a pure function of itself; jittered sleeps
-    // shuffle completion order, the result must not care.
-    const std::size_t n = 200;
-    std::vector<std::uint64_t> expected(n);
-    for (std::size_t i = 0; i < n; ++i)
-        expected[i] = i * i + 17;
-
-    for (const unsigned jobs : {1u, 2u, 4u, 8u}) {
-        std::vector<std::uint64_t> got(n, 0);
-        parallelFor(n, jobs, [&got](std::size_t i) {
-            if (i % 7 == 0) {
-                std::this_thread::sleep_for(
-                    std::chrono::microseconds(20 * (i % 5)));
-            }
-            got[i] = i * i + 17;
-        });
-        EXPECT_EQ(got, expected) << "jobs=" << jobs;
-    }
-}
-
-TEST(ParallelFor, ZeroAndSingleIndex)
-{
-    int calls = 0;
-    parallelFor(0, 4, [&calls](std::size_t) { ++calls; });
-    EXPECT_EQ(calls, 0);
-    parallelFor(1, 4, [&calls](std::size_t i) {
-        EXPECT_EQ(i, 0u);
-        ++calls;
-    });
-    EXPECT_EQ(calls, 1);
-}
-
-TEST(ParallelFor, MoreJobsThanIndices)
-{
-    std::atomic<int> count{0};
-    parallelFor(3, 16, [&count](std::size_t) { count.fetch_add(1); });
-    EXPECT_EQ(count.load(), 3);
-}
-
-TEST(ParallelFor, RethrowsLowestIndexException)
-{
-    // Two indices throw; all other work still runs, and the rethrown
-    // exception is deterministically the lowest index's.
-    std::atomic<int> completed{0};
-    try {
-        parallelFor(64, 4, [&completed](std::size_t i) {
-            if (i == 9)
-                throw std::runtime_error("index 9");
-            if (i == 41)
-                throw std::runtime_error("index 41");
-            completed.fetch_add(1);
-        });
-        FAIL() << "expected an exception";
-    } catch (const std::runtime_error &e) {
-        EXPECT_STREQ(e.what(), "index 9");
-    }
-    EXPECT_EQ(completed.load(), 62);
-}
-
-TEST(ParallelFor, ConcurrentThrowsSurfaceLowestIndex)
-{
-    // The exception-ordering contract (thread_pool.hh): when several
-    // indices throw, the lowest index's exception is rethrown no
-    // matter which worker threw first.  A spin barrier makes the two
-    // throwers release as close to simultaneously as the scheduler
-    // allows, and the loop gives a wrong implementation (e.g. "first
-    // throw wins") many chances to surface index 5's exception.
-    for (int round = 0; round < 25; ++round) {
-        std::atomic<int> at_barrier{0};
-        std::atomic<int> completed{0};
-        try {
-            parallelFor(8, 2, [&](std::size_t i) {
-                if (i == 3 || i == 5) {
-                    at_barrier.fetch_add(1);
-                    while (at_barrier.load() < 2) {
-                        // spin: both throwers release together
-                    }
-                    throw std::runtime_error("index " +
-                                             std::to_string(i));
-                }
-                completed.fetch_add(1);
-            });
-            FAIL() << "expected an exception";
-        } catch (const std::runtime_error &e) {
-            EXPECT_STREQ(e.what(), "index 3") << "round " << round;
-        }
-        // The contract also promises a full drain before the rethrow.
-        EXPECT_EQ(completed.load(), 6) << "round " << round;
-    }
-}
-
-TEST(ParallelFor, SerialPathPropagatesException)
-{
-    EXPECT_THROW(
-        parallelFor(4, 1, [](std::size_t i) {
-            if (i == 2)
-                throw std::logic_error("serial");
-        }),
-        std::logic_error);
 }
 
 TEST(Jobs, HardwareJobsIsPositive)

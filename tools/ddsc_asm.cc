@@ -15,14 +15,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <limits>
-#include <sstream>
 #include <string>
 
 #include "masm/assembler.hh"
 #include "support/decimal.hh"
-#include "support/logging.hh"
 #include "support/version.hh"
 #include "trace/source.hh"
 #include "vm/vm.hh"
@@ -76,27 +73,19 @@ main(int argc, char **argv)
     if (input.empty() || output.empty())
         usage();
 
-    std::ifstream in(input, std::ios::binary);
-    if (!in)
-        ddsc_fatal("cannot open '%s'", input.c_str());
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-
-    const AsmResult result = assemble(buffer.str());
-    if (!result.ok())
-        ddsc_fatal("assembly failed:\n%s", result.errorText().c_str());
+    const Program program = assembleFileOrDie(input);
 
     if (list) {
-        for (std::size_t i = 0; i < result.program.text.size(); ++i) {
+        for (std::size_t i = 0; i < program.text.size(); ++i) {
             std::printf("%08llx  %s\n",
                         static_cast<unsigned long long>(
                             Program::pcOf(i)),
-                        result.program.text[i].toString().c_str());
+                        program.text[i].toString().c_str());
         }
     }
 
     TraceFileWriter writer(output);
-    Vm vm(result.program);
+    Vm vm(program);
     const Vm::RunResult run = vm.run(&writer, limit);
     writer.close();
     std::printf("%s: %llu instructions traced to %s (halted: %s, "

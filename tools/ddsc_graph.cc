@@ -16,15 +16,12 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "collapse/rules.hh"
 #include "masm/assembler.hh"
 #include "support/decimal.hh"
-#include "support/logging.hh"
 #include "support/version.hh"
 #include "vm/vm.hh"
 
@@ -78,12 +75,7 @@ main(int argc, char **argv)
     if (input.empty())
         usage();
 
-    std::ifstream in(input, std::ios::binary);
-    if (!in)
-        ddsc_fatal("cannot open '%s'", input.c_str());
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    const Program program = assembleOrDie(buffer.str());
+    const Program program = assembleFileOrDie(input);
 
     VectorTraceSource trace;
     VectorTraceSink sink(trace);

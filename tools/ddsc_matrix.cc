@@ -49,17 +49,14 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "cli_common.hh"
 #include "sim/experiment.hh"
 #include "sim/matrix_query.hh"
 #include "sim/result_store.hh"
-#include "spec/orchestrator.hh"
-#include "support/logging.hh"
 #include "support/shutdown.hh"
 #include "support/thread_pool.hh"
 #include "support/version.hh"
@@ -82,25 +79,6 @@ usage()
     std::exit(2);
 }
 
-/** `--list-configs`: every known configuration letter with its active
- *  speculation-module stack and cache-key fingerprint. */
-[[noreturn]] void
-listConfigs()
-{
-    std::printf("known configurations (fingerprint schema %u, %u "
-                "fields; width 16 shown):\n",
-                support::version::kFingerprintSchema,
-                support::version::kFingerprintFields);
-    for (const char c : MachineConfig::knownConfigs()) {
-        const MachineConfig cfg = MachineConfig::paper(c, 16);
-        std::printf("  %c  %s\n", c, MachineConfig::letterSummary(c));
-        std::printf("     modules    : %s\n",
-                    spec::moduleStackSummary(cfg).c_str());
-        std::printf("     fingerprint: %s\n", cfg.fingerprint().c_str());
-    }
-    std::exit(0);
-}
-
 } // anonymous namespace
 
 int
@@ -114,6 +92,7 @@ main(int argc, char **argv)
         cache_dir = env;
     bool resume = false;
     std::string trace_dir;
+    bool list_configs = false;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -145,7 +124,7 @@ main(int argc, char **argv)
         } else if (arg == "--resume") {
             resume = true;
         } else if (arg == "--list-configs") {
-            listConfigs();
+            list_configs = true;
         } else if (arg == "--version") {
             support::version::print("ddsc-matrix");
             return 0;
@@ -153,11 +132,9 @@ main(int argc, char **argv)
             usage();
         }
     }
-    if (resume && cache_dir.empty()) {
-        std::fprintf(stderr,
-                     "ddsc-matrix: --resume needs --cache-dir "
-                     "(or $DDSC_CACHE_DIR)\n");
-        usage();
+    if (list_configs) {
+        cli::printConfigList(16);
+        return 0;
     }
     std::string why;
     if (!query.validate(&why)) {
@@ -173,30 +150,9 @@ main(int argc, char **argv)
     driver.setInterruptible(true);
     if (!trace_dir.empty())
         driver.setTraceDir(trace_dir);
-
-    std::unique_ptr<ResultStore> store;
-    if (!cache_dir.empty()) {
-        const auto file =
-            std::filesystem::path(cache_dir) / "results.ddsc";
-        std::error_code ec;
-        if (!resume && std::filesystem::exists(file, ec)) {
-            ddsc_fatal("cache '%s' already exists; pass --resume to "
-                       "reuse it or remove the directory",
-                       file.string().c_str());
-        }
-        store = std::make_unique<ResultStore>(cache_dir);
-        const StoreLoadReport &report = store->loadReport();
-        if (resume) {
-            std::fprintf(stderr,
-                         "# resuming from %s: %zu cells on disk, "
-                         "%zu discarded%s%s\n",
-                         store->path().c_str(), report.loaded,
-                         report.discarded,
-                         report.note.empty() ? "" : " -- ",
-                         report.note.c_str());
-        }
-        driver.attachStore(store.get());
-    }
+    const std::unique_ptr<ResultStore> store =
+        cli::openCacheDir("ddsc-matrix", cache_dir, resume, usage);
+    driver.attachStore(store.get());
 
     const auto wall_start = std::chrono::steady_clock::now();
     const MatrixResult result = runMatrixQuery(driver, query);

@@ -29,15 +29,18 @@
  *                     fingerprint and trace digest still match are
  *                     served from disk instead of re-simulated
  *   --list-configs    print every known configuration letter with its
- *                     speculation-module stack and fingerprint, exit
+ *                     speculation-module stack and fingerprint at
+ *                     --width, exit
  *   --version         print format/schema versions and exit
  *
- * Configs whose front-end knobs agree share one front-end pass (the
- * paper's ABDE sweep decodes the trace twice, not four times).  A
- * config whose simulation keeps throwing is contained: it is retried
- * alone, the other configs of the sweep still run and print, the
- * failure summary names the bad cell on stderr, and the exit status
- * is 1.
+ * A sweep (several configs, or any run with a cache) is one
+ * ExperimentDriver prefetch over the trace, so it shares the matrix's
+ * cell path: configs whose front-end knobs agree share one front-end
+ * pass (the paper's ABDE sweep decodes the trace twice, not four
+ * times).  A config whose simulation keeps throwing is contained: it
+ * is retried alone, the other configs of the sweep still run and
+ * print, the failure summary names the bad cell on stderr, and the
+ * exit status is 1.
  *
  * Ctrl-C (or SIGTERM) during a sweep is cooperative: configs that
  * already finished are still persisted to the attached cache
@@ -45,22 +48,20 @@
  * is 128+signal.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
+#include <limits>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli_common.hh"
 #include "core/scheduler.hh"
 #include "masm/assembler.hh"
-#include "spec/orchestrator.hh"
 #include "trace/mapped.hh"
-#include "sim/batched.hh"
 #include "sim/experiment.hh"
+#include "sim/matrix_query.hh"
 #include "sim/result_store.hh"
 #include "support/decimal.hh"
 #include "support/logging.hh"
@@ -85,36 +86,6 @@ usage()
         "                [--limit N] [--jobs N] [--cache-dir DIR]\n"
         "                [--resume] [--list-configs] [--version]\n");
     std::exit(2);
-}
-
-/** `--list-configs`: every known configuration letter with its active
- *  speculation-module stack and cache-key fingerprint. */
-[[noreturn]] void
-listConfigs(unsigned width)
-{
-    std::printf("known configurations (fingerprint schema %u, %u "
-                "fields; width %u shown):\n",
-                support::version::kFingerprintSchema,
-                support::version::kFingerprintFields, width);
-    for (const char c : MachineConfig::knownConfigs()) {
-        const MachineConfig cfg = MachineConfig::paper(c, width);
-        std::printf("  %c  %s\n", c, MachineConfig::letterSummary(c));
-        std::printf("     modules    : %s\n",
-                    spec::moduleStackSummary(cfg).c_str());
-        std::printf("     fingerprint: %s\n", cfg.fingerprint().c_str());
-    }
-    std::exit(0);
-}
-
-std::string
-readFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        ddsc_fatal("cannot open '%s'", path.c_str());
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-    return buffer.str();
 }
 
 void
@@ -195,6 +166,7 @@ main(int argc, char **argv)
     if (const char *env = std::getenv("DDSC_CACHE_DIR"))
         cache_dir = env;
     bool resume = false;
+    bool list_configs = false;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -254,7 +226,7 @@ main(int argc, char **argv)
         } else if (arg == "--resume") {
             resume = true;
         } else if (arg == "--list-configs") {
-            listConfigs(width);
+            list_configs = true;
         } else if (arg == "--version") {
             support::version::print("ddsc-sim");
             return 0;
@@ -263,41 +235,19 @@ main(int argc, char **argv)
         }
     }
 
+    if (list_configs) {
+        cli::printConfigList(width);
+        return 0;
+    }
+
     support::installShutdownHandler();
 
     const int sources = (workload.empty() ? 0 : 1) +
         (asm_path.empty() ? 0 : 1) + (trace_path.empty() ? 0 : 1);
     if (sources != 1)
         usage();
-    if (resume && cache_dir.empty()) {
-        std::fprintf(stderr,
-                     "ddsc-sim: --resume needs --cache-dir "
-                     "(or $DDSC_CACHE_DIR)\n");
-        usage();
-    }
-
-    std::unique_ptr<ResultStore> store;
-    if (!cache_dir.empty()) {
-        const auto file =
-            std::filesystem::path(cache_dir) / "results.ddsc";
-        std::error_code ec;
-        if (!resume && std::filesystem::exists(file, ec)) {
-            ddsc_fatal("cache '%s' already exists; pass --resume to "
-                       "reuse it or remove the directory",
-                       file.string().c_str());
-        }
-        store = std::make_unique<ResultStore>(cache_dir);
-        if (resume) {
-            const StoreLoadReport &report = store->loadReport();
-            std::fprintf(stderr,
-                         "# resuming from %s: %zu cells on disk, "
-                         "%zu discarded%s%s\n",
-                         store->path().c_str(), report.loaded,
-                         report.discarded,
-                         report.note.empty() ? "" : " -- ",
-                         report.note.c_str());
-        }
-    }
+    const std::unique_ptr<ResultStore> store =
+        cli::openCacheDir("ddsc-sim", cache_dir, resume, usage);
 
     // Build the trace.
     std::unique_ptr<TraceSource> source;
@@ -309,7 +259,7 @@ main(int argc, char **argv)
                     workload.c_str(), trace->size(), checksum);
         source = std::move(trace);
     } else if (!asm_path.empty()) {
-        const Program program = assembleOrDie(readFile(asm_path));
+        const Program program = assembleFileOrDie(asm_path);
         auto trace = std::make_unique<VectorTraceSource>();
         VectorTraceSink sink(*trace);
         Vm vm(program);
@@ -375,128 +325,62 @@ main(int argc, char **argv)
         }
         shared = std::move(materialized);
     }
-    const std::string label = !workload.empty() ? workload
-        : !asm_path.empty() ? asm_path : trace_path;
-    const std::uint64_t digest = store ? shared->digest() : 0;
 
-    struct CellRun
-    {
-        MachineConfig config;
-        std::string key;        ///< cellKey(), e.g. "li/D/16"
-        SchedStats stats;
-        bool ok = false;
-        bool fromStore = false;
-        std::string error;
-    };
-    std::vector<CellRun> runs;
-    for (const char c : config_ids) {
-        CellRun run;
-        run.config = machineFor(c);
-        run.key = cellKey(label, run.config);
-        if (store) {
-            const SchedStats *stored = store->lookup(
-                run.key, run.config.fingerprint(), digest);
-            if (stored) {
-                run.stats = *stored;
-                run.ok = run.fromStore = true;
-            }
-        }
-        runs.push_back(std::move(run));
-    }
+    // The sweep is one prefetch() of the driver over the adopted trace.
+    // A built-in workload keeps its spec, so its cells are named like
+    // the matrix's ("espresso/D/8"); an --asm program or a --trace file
+    // is named by its path.  An adopted trace is never truncated; the
+    // limit that never binds also keeps the driver from reading (and
+    // warning about) $DDSC_TRACE_LIMIT, which ddsc-sim ignores.  No
+    // sweep has more groups than configs, hence no more workers.
+    WorkloadSpec named{};
+    named.name = !asm_path.empty() ? asm_path : trace_path;
+    const WorkloadSpec &spec =
+        !workload.empty() ? findWorkload(workload) : named;
+    ExperimentDriver driver(std::numeric_limits<std::uint64_t>::max(),
+                            false,
+                            std::min<unsigned>(jobs, config_ids.size()));
+    driver.setInterruptible(true);
+    driver.attachStore(store.get());
+    driver.adoptTrace(spec, std::move(shared));
+    std::vector<MachineCell> cells;
+    for (const char c : config_ids)
+        cells.push_back({&spec, machineFor(c)});
+    driver.prefetch(cells);
 
-    // Group pending configs by front-end fingerprint: each group is
-    // one streaming decode/predict pass over a private read-only
-    // cursor, feeding all its window engines; groups run in parallel.
-    // Results print in the order the configs were given regardless of
-    // which finished first.  A throwing config is retried alone, then
-    // reported — it never takes the rest of the sweep down.
-    std::vector<std::vector<std::size_t>> groups;
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-        if (runs[i].fromStore)
-            continue;
-        const std::string fp = runs[i].config.frontEndFingerprint();
-        std::size_t g = 0;
-        while (g < groups.size() &&
-               runs[groups[g][0]].config.frontEndFingerprint() != fp)
-            ++g;
-        if (g == groups.size())
-            groups.emplace_back();
-        groups[g].push_back(i);
-    }
-    support::parallelFor(groups.size(), jobs, [&](std::size_t g) {
-        if (support::shutdownRequested())
-            return;     // interrupted: skip configs not yet started
-        std::vector<MachineConfig> configs;
-        std::vector<std::string> keys;
-        for (const std::size_t i : groups[g]) {
-            configs.push_back(runs[i].config);
-            keys.push_back(runs[i].key);
-        }
-        const BatchedGroupResult out =
-            runBatchedGroupWithRetry(*shared, configs, keys);
-        for (std::size_t k = 0; k < groups[g].size(); ++k) {
-            CellRun &run = runs[groups[g][k]];
-            run.ok = out.cells[k].ok;
-            if (run.ok)
-                run.stats = out.cells[k].stats;
-            else
-                run.error = out.cells[k].error;
-        }
-    });
-
-    // Persist serially, in config order, so the cache bytes are
-    // deterministic for a given sweep.
-    if (store) {
-        for (const CellRun &run : runs) {
-            if (run.ok && !run.fromStore) {
-                store->append(run.key, run.config.fingerprint(),
-                              digest, run.stats);
-            }
-        }
-    }
-
+    // After Ctrl-C the finished configs are the cached cells (store
+    // hits included); the others never started.
     if (support::shutdownRequested()) {
-        std::size_t finished = 0;
-        for (const CellRun &run : runs)
-            finished += run.ok ? 1 : 0;
+        const std::size_t done = driver.cachedCells();
+        std::fprintf(stderr, "# interrupted: %zu finished config%s ",
+                     done, done == 1 ? "" : "s");
         if (store) {
-            std::fprintf(stderr,
-                         "# interrupted: %zu finished config%s "
-                         "checkpointed to %s; rerun with --resume to "
-                         "continue\n",
-                         finished, finished == 1 ? "" : "s",
-                         store->path().c_str());
+            std::fprintf(stderr, "checkpointed to %s; rerun with "
+                         "--resume to continue\n", store->path().c_str());
         } else {
             std::fprintf(stderr,
-                         "# interrupted: %zu finished config%s "
-                         "discarded (use --cache-dir to checkpoint)\n",
-                         finished, finished == 1 ? "" : "s");
+                         "discarded (use --cache-dir to checkpoint)\n");
         }
         return 128 + support::shutdownSignal();
     }
 
+    // Every config is cached or quarantined; print in the order given.
     bool first = true;
-    std::size_t failed = 0;
-    for (const CellRun &run : runs) {
-        if (!run.ok) {
-            ++failed;
-            continue;
+    std::vector<CellFailure> quarantined;
+    for (const MachineCell &cell : cells) {
+        try {
+            const SchedStats &stats = driver.statsFor(spec, cell.config);
+            if (!first)
+                std::printf("\n");
+            first = false;
+            printStats(cell.config, stats);
+        } catch (const CellQuarantined &bad) {
+            quarantined.push_back(bad.failure);
         }
-        if (!first)
-            std::printf("\n");
-        first = false;
-        printStats(run.config, run.stats);
     }
-    if (failed > 0) {
-        std::fprintf(stderr, "ddsc-sim: %zu cell%s quarantined:\n",
-                     failed, failed == 1 ? "" : "s");
-        for (const CellRun &run : runs) {
-            if (!run.ok) {
-                std::fprintf(stderr, "  %s: %s (after %u attempts)\n",
-                             run.key.c_str(), run.error.c_str(),
-                             kCellAttempts);
-            }
-        }
+    if (!quarantined.empty()) {
+        std::fputs(quarantineSummary(quarantined, "ddsc-sim").c_str(),
+                   stderr);
         return 1;
     }
     return 0;
