@@ -10,15 +10,31 @@ namespace ddsc
 namespace
 {
 
-/** Count @p sig without building a std::string unless it is new. */
+/** Add @p count to @p sig without building a std::string unless it
+ *  is new. */
 void
-bump(SignatureMap &map, std::string_view sig)
+bump(SignatureMap &map, std::string_view sig, std::uint64_t count = 1)
 {
     const auto it = map.lower_bound(sig);
     if (it != map.end() && it->first == sig)
-        ++it->second;
+        it->second += count;
     else
-        map.emplace_hint(it, std::string(sig), 1);
+        map.emplace_hint(it, std::string(sig), count);
+}
+
+/** Spell the group of packed fragments @p frags as record() keys it:
+ *  fragments oldest first, joined by '-'. */
+std::string_view
+spell(const std::uint64_t *frags, unsigned count,
+      std::array<char, kMaxGroupSignature> &buf)
+{
+    char *p = buf.data();
+    for (unsigned i = 0; i < count; ++i) {
+        if (i > 0)
+            *p++ = '-';
+        p += appendPackedSignature(frags[i], p);
+    }
+    return {buf.data(), static_cast<std::size_t>(p - buf.data())};
 }
 
 } // anonymous namespace
@@ -116,6 +132,79 @@ CollapseStats::decode(support::wire::Reader &in)
         return false;
     }
     return true;
+}
+
+void
+CollapseTally::clear()
+{
+    collapsedInstructions_ = 0;
+    byCategory_ = {};
+    std::fill(distances_.begin(), distances_.end(), std::uint64_t{0});
+    pairs_.clear();
+    triples_.clear();
+}
+
+void
+CollapseTally::growDistances(std::uint64_t distance)
+{
+    distances_.resize(std::max<std::uint64_t>(
+        {kInitialDistances, 2 * distances_.size(), distance + 1}));
+}
+
+void
+CollapseTally::drainInto(CollapseStats &stats)
+{
+    stats.collapsedInstructions_ += collapsedInstructions_;
+    for (unsigned i = 0; i < kNumCollapseCategories; ++i)
+        stats.byCategory_[i] += byCategory_[i];
+    for (std::size_t d = 0; d < distances_.size(); ++d) {
+        if (distances_[d] != 0)
+            stats.distances_.add(d, distances_[d]);
+    }
+    std::array<char, kMaxGroupSignature> buf;
+    pairs_.forEach([&](const std::uint64_t *key, std::uint64_t count) {
+        bump(stats.pairSignatures_, spell(key, 2, buf), count);
+        stats.pairEvents_ += count;
+        stats.events_ += count;
+    });
+    triples_.forEach([&](const std::uint64_t *key, std::uint64_t count) {
+        bump(stats.tripleSignatures_, spell(key, 3, buf), count);
+        stats.tripleEvents_ += count;
+        stats.events_ += count;
+    });
+    clear();
+}
+
+void
+CollapseTally::SignatureTable::clear()
+{
+    for (Slot &slot : slots_)
+        slot.count = 0;
+    used_ = 0;
+}
+
+void
+CollapseTally::SignatureTable::insert(std::size_t i, std::uint64_t a,
+                                      std::uint64_t b, std::uint64_t c)
+{
+    if (2 * (used_ + 1) > slots_.size()) {
+        std::vector<Slot> old(2 * slots_.size());
+        old.swap(slots_);
+        --shift_;
+        for (const Slot &slot : old) {
+            if (slot.count == 0)
+                continue;
+            std::size_t j = home(slot.key[0], slot.key[1], slot.key[2]);
+            while (slots_[j].count != 0)
+                j = (j + 1) & (slots_.size() - 1);
+            slots_[j] = slot;
+        }
+        i = home(a, b, c);
+        while (slots_[i].count != 0)
+            i = (i + 1) & (slots_.size() - 1);
+    }
+    slots_[i] = {{a, b, c}, 1};
+    ++used_;
 }
 
 std::vector<std::pair<std::string, double>>

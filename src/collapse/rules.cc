@@ -155,6 +155,27 @@ appendInstructionSignature(const TraceRecord &rec, char *out)
     return static_cast<std::size_t>(p - out);
 }
 
+std::uint64_t
+packInstructionSignature(const TraceRecord &rec)
+{
+    char letters[kMaxInstructionSignature];
+    const std::size_t len = appendInstructionSignature(rec, letters);
+    std::uint64_t frag = static_cast<std::uint64_t>(len) << 56;
+    for (std::size_t i = 0; i < len; ++i)
+        frag |= std::uint64_t{static_cast<std::uint8_t>(letters[i])}
+                << (8 * i);
+    return frag;
+}
+
+std::size_t
+appendPackedSignature(std::uint64_t frag, char *out)
+{
+    const std::size_t len = static_cast<std::size_t>(frag >> 56);
+    for (std::size_t i = 0; i < len; ++i)
+        out[i] = static_cast<char>(frag >> (8 * i));
+    return len;
+}
+
 std::size_t
 groupSignature(const TraceRecord *const *members, unsigned count,
                char *out)

@@ -164,6 +164,22 @@ constexpr std::size_t kMaxGroupSignature =
  *  bytes) and return the count written. */
 std::size_t appendInstructionSignature(const TraceRecord &rec, char *out);
 
+static_assert(kMaxInstructionSignature < sizeof(std::uint64_t),
+              "a packed fragment keeps its length in the top byte");
+
+/**
+ * @p rec's signature fragment packed into one word: letter i in bits
+ * [8i, 8i + 8), zero bytes past the length, and the length in the top
+ * byte.  Equal fragments pack to equal words, so the word is the
+ * fragment's id: the collapse path counts groups by these words and
+ * spells them only once per run (CollapseTally).
+ */
+std::uint64_t packInstructionSignature(const TraceRecord &rec);
+
+/** Append the letters of packed fragment @p frag to @p out
+ *  (>= kMaxInstructionSignature bytes) and return the count written. */
+std::size_t appendPackedSignature(std::uint64_t frag, char *out);
+
 /** Allocation-free groupSignature into @p out (>= kMaxGroupSignature
  *  bytes); returns the length. */
 std::size_t groupSignature(const TraceRecord *const *members,

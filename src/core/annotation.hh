@@ -15,7 +15,6 @@
 #ifndef DDSC_CORE_ANNOTATION_HH
 #define DDSC_CORE_ANNOTATION_HH
 
-#include <array>
 #include <cstdint>
 
 #include "collapse/rules.hh"
@@ -46,11 +45,11 @@ struct InsertAnnotation
     /** Collapse-rule detection, computed only when the front-end has
      *  collapse columns enabled (any consumer collapses): the
      *  record's compound-expression size and its paper signature
-     *  fragment.  Both are pure functions of the record, so one
-     *  front-end pass serves every collapsing back-end. */
+     *  fragment, packed into one word (packInstructionSignature).
+     *  Both are pure functions of the record, so one front-end pass
+     *  serves every collapsing back-end. */
     ExprSize expr;
-    std::array<char, kMaxInstructionSignature> sig = {};
-    std::uint8_t sigLen = 0;
+    std::uint64_t sig = 0;
 
     /// This record is a conditional branch (counts toward condBranches).
     static constexpr std::uint16_t kFlagCondBranch = 1u << 0;

@@ -10,7 +10,7 @@ unsigned
 collapseArcs(const CollapseRules &rules, const TraceRecord &rec,
              CollapseNode &consumer, CollapseNode *const *producers,
              std::uint8_t address_mask, unsigned num_arcs,
-             CollapseStats &stats)
+             CollapseTally &tally)
 {
     const OpClass cls = rec.cls();
 
@@ -73,8 +73,6 @@ collapseArcs(const CollapseRules &rules, const TraceRecord &rec,
     // within the 4-1 device and the group within 3 instructions.
     unsigned collapsed = 0;
     CollapseCategory category = CollapseCategory::ThreeOne;
-    std::uint64_t new_distances[2];
-    unsigned num_new = 0;
 
     for (unsigned c = 0; c < num_candidates; ++c) {
         Candidate &cand = candidates[c];
@@ -94,24 +92,20 @@ collapseArcs(const CollapseRules &rules, const TraceRecord &rec,
         consumer.expr = combined;
         category = judged;
         collapsed |= cand.arcMask;
-        new_distances[num_new++] = cand.distance;
+        tally.addDistance(cand.distance);
 
         // Track group membership for the signature: the producer's own
         // absorbed members plus the producer itself.
         for (unsigned m = 0; m < producer->numMembers &&
                  consumer.numMembers < 2; ++m) {
-            consumer.memberSigs[consumer.numMembers] =
-                producer->memberSigs[m];
-            consumer.memberSigLens[consumer.numMembers] =
-                producer->memberSigLens[m];
+            consumer.memberFrags[consumer.numMembers] =
+                producer->memberFrags[m];
             consumer.memberSeqs[consumer.numMembers] =
                 producer->memberSeqs[m];
             ++consumer.numMembers;
         }
         if (consumer.numMembers < 2) {
-            consumer.memberSigs[consumer.numMembers] = producer->sigFrag;
-            consumer.memberSigLens[consumer.numMembers] =
-                producer->sigLen;
+            consumer.memberFrags[consumer.numMembers] = producer->frag;
             consumer.memberSeqs[consumer.numMembers] = producer->seq;
             ++consumer.numMembers;
         }
@@ -119,7 +113,7 @@ collapseArcs(const CollapseRules &rules, const TraceRecord &rec,
         ++producer->absorbedCount;
         if (!producer->inAnyGroup) {
             producer->inAnyGroup = true;
-            stats.noteCollapsedInstruction();
+            tally.noteCollapsedInstruction();
         }
     }
 
@@ -128,37 +122,22 @@ collapseArcs(const CollapseRules &rules, const TraceRecord &rec,
 
     if (!consumer.inAnyGroup) {
         consumer.inAnyGroup = true;
-        stats.noteCollapsedInstruction();
+        tally.noteCollapsedInstruction();
     }
 
-    // Record the event: members oldest-first, then this consumer.
-    // Two producers of a tree triple may have been absorbed in either
+    // Count the event: members oldest-first, then this consumer.  Two
+    // producers of a tree triple may have been absorbed in either
     // order, so sort by sequence number.
-    if (consumer.numMembers == 2 &&
-        consumer.memberSeqs[0] > consumer.memberSeqs[1]) {
-        std::swap(consumer.memberSeqs[0], consumer.memberSeqs[1]);
-        std::swap(consumer.memberSigs[0], consumer.memberSigs[1]);
-        std::swap(consumer.memberSigLens[0], consumer.memberSigLens[1]);
+    if (consumer.numMembers == 2) {
+        if (consumer.memberSeqs[0] > consumer.memberSeqs[1]) {
+            std::swap(consumer.memberSeqs[0], consumer.memberSeqs[1]);
+            std::swap(consumer.memberFrags[0], consumer.memberFrags[1]);
+        }
+        tally.addTriple(category, consumer.memberFrags[0],
+                        consumer.memberFrags[1], consumer.frag);
+    } else {
+        tally.addPair(category, consumer.memberFrags[0], consumer.frag);
     }
-    CollapseEvent event;
-    event.category = category;
-    event.groupSize = consumer.numMembers + 1u;
-    char sig[kMaxGroupSignature];
-    char *p = sig;
-    for (unsigned m = 0; m < consumer.numMembers; ++m) {
-        std::memcpy(p, consumer.memberSigs[m].data(),
-                    consumer.memberSigLens[m]);
-        p += consumer.memberSigLens[m];
-        *p++ = '-';
-    }
-    std::memcpy(p, consumer.sigFrag.data(), consumer.sigLen);
-    p += consumer.sigLen;
-    event.signature =
-        std::string_view(sig, static_cast<std::size_t>(p - sig));
-    event.distanceCount = num_new;
-    for (unsigned i = 0; i < num_new; ++i)
-        event.distances[i] = new_distances[i];
-    stats.record(event);
     return collapsed;
 }
 

@@ -233,11 +233,7 @@ SpecFrontEnd::fill(TraceSource &trace, FrontEndBatch &batch,
         batch.bbId.push_back(ann.bbId);
         batch.elimOldWriter.push_back(ann.elimOldWriter);
         batch.expr.push_back(ann.expr);
-        std::array<char, kMaxInstructionSignature + 1> sig = {};
-        for (unsigned b = 0; b < ann.sigLen; ++b)
-            sig[b] = ann.sig[b];
-        sig[kMaxInstructionSignature] = static_cast<char>(ann.sigLen);
-        batch.sig.push_back(sig);
+        batch.sig.push_back(ann.sig);
     }
     return batch.size();
 }

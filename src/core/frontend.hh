@@ -56,8 +56,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include <array>
-
 #include "bpred/bpred.hh"
 #include "bpred/cti_pred.hh"
 #include "collapse/rules.hh"
@@ -90,9 +88,7 @@ struct FrontEndBatch
     std::vector<std::uint64_t> bbId;
     std::vector<std::uint64_t> elimOldWriter;
     std::vector<ExprSize> expr;
-    /** Signature fragment per record; [kMaxInstructionSignature]
-     *  holds the length. */
-    std::vector<std::array<char, kMaxInstructionSignature + 1>> sig;
+    std::vector<std::uint64_t> sig;         ///< packed fragment
 
     std::size_t size() const { return records.size(); }
 
@@ -118,19 +114,15 @@ struct FrontEndBatch
         out.flags = flags[i];
         out.depCount = depCount[i];
         out.depAddrMask = depAddrMask[i];
-        // Only the used prefixes: consumers never read depSeq past
-        // depCount or sig past sigLen.
+        // Only the used prefix: consumers never read depSeq past
+        // depCount.
         for (unsigned d = 0; d < out.depCount; ++d)
             out.depSeq[d] = depSeqs[4 * i + d];
         out.barrierSeq = barrierSeq[i];
         out.bbId = bbId[i];
         out.elimOldWriter = elimOldWriter[i];
         out.expr = expr[i];
-        const auto &s = sig[i];
-        out.sigLen = static_cast<std::uint8_t>(
-            s[kMaxInstructionSignature]);
-        for (unsigned b = 0; b < out.sigLen; ++b)
-            out.sig[b] = s[b];
+        out.sig = sig[i];
     }
 };
 

@@ -32,6 +32,7 @@ PlacementEngine::begin()
     anyIssue_ = false;
     nextSeq_ = 1;
     stats_ = SchedStats{};
+    tally_.clear();
 }
 
 std::uint64_t
@@ -137,15 +138,13 @@ PlacementEngine::place(const FrontEndBatch &batch, std::size_t i)
     unsigned collapsed = 0;
     if (config_.collapsing) {
         CollapseNode &node = nodes_[seq & placedMask_];
-        const auto &sig = batch.sig[i];
-        node.reset(seq, rec, batch.bbId[i], batch.expr[i], sig.data(),
-                   static_cast<std::uint8_t>(sig[kMaxInstructionSignature]));
+        node.reset(seq, rec, batch.bbId[i], batch.expr[i], batch.sig[i]);
         CollapseNode *candidates[4];
         for (unsigned d = 0; d < num_deps; ++d)
             candidates[d] = producers[d] && producers[d]->issue >= entry
                 ? &nodes_[deps[d] & placedMask_] : nullptr;
         collapsed = collapseArcs(config_.rules, rec, node, candidates,
-                                 address_mask, num_deps, stats_.collapse);
+                                 address_mask, num_deps, tally_);
     }
 
     // Every constraint is a time older records already fixed.
@@ -243,6 +242,7 @@ PlacementEngine::finish()
         if (cyclesWith_[k] != 0)
             stats_.issuedPerCycle.add(k, cyclesWith_[k]);
     }
+    tally_.drainInto(stats_.collapse);
     // A run in which nothing ever issues (e.g. an empty trace)
     // occupies zero cycles; "last issue + 1" only counts real issues.
     stats_.cycles = anyIssue_ ? lastIssue_ + 1 : 0;

@@ -97,6 +97,8 @@ class PlacementEngine
 
     std::uint64_t nextSeq_ = 1;         ///< 0 reserved for "none"
     SchedStats stats_;
+    /** This run's collapse events, drained into stats_ at finish(). */
+    CollapseTally tally_;
 };
 
 } // namespace ddsc

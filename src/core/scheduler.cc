@@ -225,8 +225,7 @@ LimitScheduler::insertAnnotated(const TraceRecord &rec,
     entry.live = true;
     ++windowCount_;
     entry.fixedReady = cycle_;      // issuable from the insertion cycle
-    entry.collapse.reset(seq, rec, ann.bbId, ann.expr, ann.sig.data(),
-                         ann.sigLen);
+    entry.collapse.reset(seq, rec, ann.bbId, ann.expr, ann.sig);
     entry.isLoad = rec.isLoad();
     countAnnotation(stats_, ann.flags);
 
@@ -262,7 +261,7 @@ LimitScheduler::insertAnnotated(const TraceRecord &rec,
         }
         const unsigned collapsed =
             collapseArcs(config_.rules, rec, entry.collapse, producers,
-                         address_mask, entry.numArcs, stats_.collapse);
+                         address_mask, entry.numArcs, tally_);
         for (unsigned i = 0; i < entry.numArcs; ++i)
             entry.arcs[i].collapsed = (collapsed >> i) & 1;
     }
@@ -540,6 +539,8 @@ LimitScheduler::resetScan()
     nextSeq_ = 1;
     cycle_ = 0;
     stats_ = SchedStats{};
+    cyclesWith_.assign(config_.issueWidth + 1, 0);
+    tally_.clear();
 }
 
 void
@@ -572,7 +573,7 @@ LimitScheduler::scanCycle()
     // Issue: oldest ready first.  Eliminated entries leave for free
     // once their sources are satisfied.
     const unsigned issued = issueReady();
-    stats_.issuedPerCycle.add(issued);
+    ++cyclesWith_[issued];
     ++cycle_;
     if (issued == 0 && cycle_ > lastIssue_ + 64) {
         // Every latency is <= 12 cycles and all constraints resolve
@@ -651,6 +652,11 @@ LimitScheduler::finishBatched()
         pollCancel();
         scanCycle();
     }
+    for (std::size_t k = 0; k < cyclesWith_.size(); ++k) {
+        if (cyclesWith_[k] != 0)
+            stats_.issuedPerCycle.add(k, cyclesWith_[k]);
+    }
+    tally_.drainInto(stats_.collapse);
     // A run in which nothing ever issues (e.g. an empty trace)
     // occupies zero cycles; "last issue + 1" only counts real issues.
     stats_.cycles = anyIssue_ ? lastIssue_ + 1 : 0;

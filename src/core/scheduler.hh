@@ -270,6 +270,11 @@ class LimitScheduler
     std::uint64_t nextSeq_ = 1;         ///< 0 reserved for "none"
     std::uint64_t cycle_ = 0;
     SchedStats stats_;
+    /** The scan engine's per-run tallies, folded into stats_ by
+     *  finishBatched(): cyclesWith_[k] counts the cycles that issued
+     *  k instructions (issuedPerCycle), tally_ the collapse events. */
+    std::vector<std::uint64_t> cyclesWith_;
+    CollapseTally tally_;
 
     /** Cooperative cancellation (setCancel): checked every
      *  kCancelPollRecords fed records / drained cycles, so the

@@ -35,8 +35,7 @@ class CollapseModule final : public SpeculationModule
     annotateRecord(const TraceRecord &rec, InsertAnnotation &ann) override
     {
         ann.expr = ExprSize::of(rec);
-        ann.sigLen = static_cast<std::uint8_t>(
-            appendInstructionSignature(rec, ann.sig.data()));
+        ann.sig = packInstructionSignature(rec);
     }
 };
 

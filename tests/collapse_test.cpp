@@ -1,13 +1,18 @@
 /**
  * @file
- * Unit tests for dependence-expression sizing, collapse legality, and
- * signature encoding.
+ * Unit tests for dependence-expression sizing, collapse legality,
+ * signature encoding, and collapse-event accounting.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "collapse/collapse_stats.hh"
 #include "collapse/rules.hh"
+#include "support/random.hh"
 #include "test_helpers.hh"
 
 namespace ddsc
@@ -226,6 +231,137 @@ TEST(Signature, Groups)
     const TraceRecord c = alu(Opcode::SLL, 3, 1, 4);
     const TraceRecord *triple[] = {&a, &c, &b};
     EXPECT_EQ(groupSignature(triple, 3), "arri-shrr-brc");
+}
+
+/** The documented packed-fragment layout, built independently of
+ *  packInstructionSignature: letter i in byte i, length in the top
+ *  byte, zeros between. */
+std::uint64_t
+packed(std::string_view letters)
+{
+    std::uint64_t word = std::uint64_t{letters.size()} << 56;
+    for (std::size_t i = 0; i < letters.size(); ++i)
+        word |= std::uint64_t{static_cast<unsigned char>(letters[i])}
+                << (8 * i);
+    return word;
+}
+
+TEST(Signature, PackedFragments)
+{
+    const TraceRecord records[] = {
+        alu(Opcode::ADD, 1, 2, 3), aluImm(Opcode::ADD, 1, 2, 0),
+        aluImm(Opcode::SLL, 1, 2, 4), aluImm(Opcode::MOV, 1, 0, 5),
+        load(1, 2, 8, 0), store(5, 2, 8, 0), branch(Cond::NE, true),
+    };
+    for (const TraceRecord &rec : records) {
+        const std::string sig = instructionSignature(rec);
+        EXPECT_EQ(packInstructionSignature(rec), packed(sig)) << sig;
+        char out[kMaxInstructionSignature];
+        EXPECT_EQ(std::string(out, appendPackedSignature(
+                                       packInstructionSignature(rec),
+                                       out)),
+                  sig);
+    }
+    char out[kMaxInstructionSignature];
+    EXPECT_EQ(std::string(out, appendPackedSignature(packed("abcdefg"),
+                                                     out)),
+              "abcdefg");
+    EXPECT_EQ(appendPackedSignature(packed(""), out), 0u);
+}
+
+/** Feed @p n seeded random events, built from @p frags, both to
+ *  record() on @p oracle and to @p tally. */
+void
+feedBoth(Rng &rng, unsigned n,
+         const std::vector<std::string> &frags, std::uint64_t max_distance,
+         CollapseStats &oracle, CollapseTally &tally)
+{
+    for (unsigned i = 0; i < n; ++i) {
+        CollapseEvent event;
+        event.category = static_cast<CollapseCategory>(
+            rng.below(kNumCollapseCategories));
+        event.groupSize = rng.chance(0.4) ? 3 : 2;
+        std::size_t members[3];
+        std::string sig;
+        for (unsigned m = 0; m < event.groupSize; ++m) {
+            members[m] = rng.below(frags.size());
+            sig += (m > 0 ? "-" : "") + frags[members[m]];
+        }
+        event.signature = sig;
+        event.distanceCount = static_cast<unsigned>(rng.below(3));
+        for (unsigned d = 0; d < event.distanceCount; ++d) {
+            event.distances[d] = rng.below(max_distance + 1);
+            tally.addDistance(event.distances[d]);
+        }
+        oracle.record(event);
+        if (event.groupSize == 2) {
+            tally.addPair(event.category, packed(frags[members[0]]),
+                          packed(frags[members[1]]));
+        } else {
+            tally.addTriple(event.category, packed(frags[members[0]]),
+                            packed(frags[members[1]]),
+                            packed(frags[members[2]]));
+        }
+        if (rng.chance(0.3)) {
+            oracle.noteCollapsedInstruction();
+            tally.noteCollapsedInstruction();
+        }
+    }
+}
+
+std::string
+encoded(const CollapseStats &stats)
+{
+    std::string out;
+    stats.encode(out);
+    return out;
+}
+
+TEST(CollapseTally, DrainMatchesRecord)
+{
+    // Real fragments plus the extremes: one letter and all seven.
+    const std::vector<std::string> frags = {
+        "arrr", "arri", "arr0", "ar0r", "shri", "lgri", "lgr0", "mvi",
+        "mvr", "ldr0", "ldrr", "ldri", "stri", "brc", "a", "abcdefg"};
+    Rng rng(25);
+
+    // Distance 0 and distances past the initial array; more keys than
+    // either table starts with.
+    CollapseStats oracle;
+    CollapseTally tally;
+    feedBoth(rng, 6000, frags, 3 * CollapseTally::kInitialDistances,
+             oracle, tally);
+    CollapseStats drained;
+    tally.drainInto(drained);
+    EXPECT_EQ(encoded(drained), encoded(oracle));
+    EXPECT_GT(oracle.distances().count(0), 0u);
+    EXPECT_GT(oracle.distances().maxKey(),
+              CollapseTally::kInitialDistances);
+    EXPECT_GT(oracle.pairSignatures().size(),
+              CollapseTally::kInitialSlots);
+    EXPECT_GT(oracle.tripleSignatures().size(),
+              CollapseTally::kInitialSlots);
+
+    // A drain adds to a non-empty CollapseStats, and drainInto() left
+    // the tally empty for the next run.
+    feedBoth(rng, 3000, frags, 40, oracle, tally);
+    tally.drainInto(drained);
+    EXPECT_EQ(encoded(drained), encoded(oracle));
+
+    // A tally reused after clear() forgets what it held.
+    CollapseStats discarded;
+    feedBoth(rng, 500, frags, 500, discarded, tally);
+    tally.clear();
+    CollapseStats fresh_oracle;
+    feedBoth(rng, 2000, frags, 100, fresh_oracle, tally);
+    CollapseStats fresh;
+    tally.drainInto(fresh);
+    EXPECT_EQ(encoded(fresh), encoded(fresh_oracle));
+
+    // An empty tally drains nothing.
+    const std::string before = encoded(fresh);
+    tally.drainInto(fresh);
+    EXPECT_EQ(encoded(fresh), before);
 }
 
 TEST(CollapseStats, CategoriesAndDistances)

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the support library: saturating counters, statistics
- * helpers, the deterministic RNG, and table formatting.
+ * helpers, the deterministic RNG, table formatting, and the CRC-32.
  */
 
 #include <gtest/gtest.h>
@@ -11,12 +11,14 @@
 #include <filesystem>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "support/portfile.hh"
 #include "support/random.hh"
 #include "support/sat_counter.hh"
 #include "support/stats.hh"
 #include "support/table.hh"
+#include "support/wire.hh"
 
 namespace ddsc
 {
@@ -164,6 +166,49 @@ TEST(Histogram, Merge)
     EXPECT_EQ(a.samples(), 7u);
     EXPECT_EQ(a.count(1), 3u);
     EXPECT_EQ(a.count(5), 4u);
+}
+
+/** The textbook bit-at-a-time CRC-32 (reflected 0xEDB88320). */
+std::uint32_t
+bytewiseCrc32(const std::uint8_t *p, std::size_t n, std::uint32_t seed)
+{
+    std::uint32_t crc = ~seed;
+    for (std::size_t i = 0; i < n; ++i) {
+        crc ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+    return ~crc;
+}
+
+TEST(Wire, Crc32MatchesBytewiseReference)
+{
+    using support::wire::crc32;
+    EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+
+    // Every length through two 128-byte strides, at every alignment.
+    Rng rng(32);
+    std::vector<std::uint8_t> buf(8 + 257);
+    for (auto &b : buf)
+        b = static_cast<std::uint8_t>(rng.next());
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+        for (std::size_t len = 0; len <= 257; ++len) {
+            ASSERT_EQ(crc32(buf.data() + offset, len),
+                      bytewiseCrc32(buf.data() + offset, len, 0))
+                << "offset " << offset << " length " << len;
+        }
+    }
+
+    // Chaining through a seed equals one call over the concatenation,
+    // wherever the split falls.
+    const std::uint32_t whole = crc32(buf.data(), buf.size());
+    for (std::size_t split = 0; split <= buf.size(); ++split) {
+        const std::uint32_t head = crc32(buf.data(), split);
+        ASSERT_EQ(crc32(buf.data() + split, buf.size() - split, head),
+                  whole) << "split " << split;
+    }
+    EXPECT_EQ(crc32(buf.data(), 100, 0x12345678u),
+              bytewiseCrc32(buf.data(), 100, 0x12345678u));
 }
 
 TEST(Rng, DeterministicAcrossInstances)

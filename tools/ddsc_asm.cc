@@ -47,6 +47,7 @@ main(int argc, char **argv)
     std::string input, output;
     std::uint64_t limit = std::numeric_limits<std::uint64_t>::max();
     bool list = false;
+    bool version = false;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -60,8 +61,7 @@ main(int argc, char **argv)
         } else if (arg == "--list") {
             list = true;
         } else if (arg == "--version") {
-            support::version::print("ddsc-asm");
-            return 0;
+            version = true;
         } else if (!arg.empty() && arg[0] == '-') {
             usage();
         } else if (input.empty()) {
@@ -69,6 +69,10 @@ main(int argc, char **argv)
         } else {
             usage();
         }
+    }
+    if (version) {     // only once the whole command line parses
+        support::version::print("ddsc-asm");
+        return 0;
     }
     if (input.empty() || output.empty())
         usage();

@@ -166,6 +166,7 @@ main(int argc, char **argv)
     bool health = false;
     bool json = false;
     bool ping = false;
+    bool version = false;
     std::uint16_t port = 7411;
     std::string port_file;
     net::RetryPolicy policy;
@@ -217,11 +218,14 @@ main(int argc, char **argv)
         } else if (arg == "--ping") {
             ping = true;
         } else if (arg == "--version") {
-            ddsc::support::version::print("ddsc-client");
-            return 0;
+            version = true;
         } else {
             usage();
         }
+    }
+    if (version) {     // only once the whole command line parses
+        ddsc::support::version::print("ddsc-client");
+        return 0;
     }
     if (json && !health)
         usage();

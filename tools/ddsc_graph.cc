@@ -55,6 +55,7 @@ main(int argc, char **argv)
 {
     std::string input;
     std::uint64_t limit = 200;
+    bool version = false;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -62,8 +63,7 @@ main(int argc, char **argv)
             if (i + 1 >= argc || !support::parseDecimal(argv[++i], limit))
                 usage();
         } else if (arg == "--version") {
-            support::version::print("ddsc-graph");
-            return 0;
+            version = true;
         } else if (!arg.empty() && arg[0] == '-') {
             usage();
         } else if (input.empty()) {
@@ -71,6 +71,10 @@ main(int argc, char **argv)
         } else {
             usage();
         }
+    }
+    if (version) {     // only once the whole command line parses
+        support::version::print("ddsc-graph");
+        return 0;
     }
     if (input.empty())
         usage();

@@ -93,6 +93,7 @@ main(int argc, char **argv)
     bool resume = false;
     std::string trace_dir;
     bool list_configs = false;
+    bool version = false;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -126,11 +127,14 @@ main(int argc, char **argv)
         } else if (arg == "--list-configs") {
             list_configs = true;
         } else if (arg == "--version") {
-            support::version::print("ddsc-matrix");
-            return 0;
+            version = true;
         } else {
             usage();
         }
+    }
+    if (version) {     // only once the whole command line parses
+        support::version::print("ddsc-matrix");
+        return 0;
     }
     if (list_configs) {
         cli::printConfigList(16);

@@ -234,6 +234,7 @@ main(int argc, char **argv)
     std::string port_file;
     std::string pid_file;
     bool do_supervise = false;
+    bool version = false;
     unsigned max_restarts = 10;
     unsigned fleet_shards = 0;      // 0 = single-server mode
     std::string runtime_dir;
@@ -305,11 +306,14 @@ main(int argc, char **argv)
         } else if (arg == "--max-restarts") {
             positive(max_restarts);
         } else if (arg == "--version") {
-            support::version::print("ddsc-served");
-            return 0;
+            version = true;
         } else {
             usage();
         }
+    }
+    if (version) {     // only once the whole command line parses
+        support::version::print("ddsc-served");
+        return 0;
     }
 
     support::installShutdownHandler();

@@ -167,6 +167,7 @@ main(int argc, char **argv)
         cache_dir = env;
     bool resume = false;
     bool list_configs = false;
+    bool version = false;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -228,11 +229,14 @@ main(int argc, char **argv)
         } else if (arg == "--list-configs") {
             list_configs = true;
         } else if (arg == "--version") {
-            support::version::print("ddsc-sim");
-            return 0;
+            version = true;
         } else {
             usage();
         }
+    }
+    if (version) {     // only once the whole command line parses
+        support::version::print("ddsc-sim");
+        return 0;
     }
 
     if (list_configs) {
@@ -249,31 +253,33 @@ main(int argc, char **argv)
     const std::unique_ptr<ResultStore> store =
         cli::openCacheDir("ddsc-sim", cache_dir, resume, usage);
 
-    // Build the trace.
-    std::unique_ptr<TraceSource> source;
+    // Build the trace.  A --workload or --asm trace is built in memory,
+    // and a sweep adopts that vector itself; a --trace file streams.
+    std::unique_ptr<VectorTraceSource> built;
+    std::unique_ptr<TraceFileSource> file;
     if (!workload.empty()) {
         std::uint32_t checksum = 0;
-        auto trace = std::make_unique<VectorTraceSource>(
+        built = std::make_unique<VectorTraceSource>(
             traceWorkload(findWorkload(workload), scale, &checksum));
         std::printf("workload    : %s (%zu instructions, checksum %u)\n",
-                    workload.c_str(), trace->size(), checksum);
-        source = std::move(trace);
+                    workload.c_str(), built->size(), checksum);
     } else if (!asm_path.empty()) {
         const Program program = assembleFileOrDie(asm_path);
-        auto trace = std::make_unique<VectorTraceSource>();
-        VectorTraceSink sink(*trace);
+        built = std::make_unique<VectorTraceSource>();
+        VectorTraceSink sink(*built);
         Vm vm(program);
         const Vm::RunResult run = vm.run(&sink, 2'000'000'000ull);
         if (!run.halted)
             ddsc_fatal("'%s' did not halt", asm_path.c_str());
         std::printf("program     : %s (%zu instructions, r25=%u)\n",
-                    asm_path.c_str(), trace->size(),
+                    asm_path.c_str(), built->size(),
                     vm.reg(kChecksumReg));
-        source = std::move(trace);
     } else {
-        source = std::make_unique<TraceFileSource>(trace_path);
+        file = std::make_unique<TraceFileSource>(trace_path);
         std::printf("trace file  : %s\n", trace_path.c_str());
     }
+    TraceSource &source =
+        built ? static_cast<TraceSource &>(*built) : *file;
 
     auto machineFor = [&](char config_id) {
         MachineConfig config = MachineConfig::paper(config_id, width);
@@ -291,10 +297,10 @@ main(int argc, char **argv)
         LimitScheduler scheduler(config);
         SchedStats stats;
         if (limit != 0) {
-            BoundedTraceSource bounded(*source, limit);
+            BoundedTraceSource bounded(source, limit);
             stats = scheduler.run(bounded);
         } else {
-            stats = scheduler.run(*source);
+            stats = scheduler.run(source);
         }
         printStats(config, stats);
         return 0;
@@ -303,10 +309,23 @@ main(int argc, char **argv)
     // A v4 --trace input with no --limit never touches a
     // std::vector: the file is mmap'd once and every config's cursor
     // walks the same read-only pages (digest comes from the header,
-    // so even the cache key costs no pass over the records).
+    // so even the cache key costs no pass over the records).  A built
+    // trace is adopted as it is, or as a copy of its first --limit
+    // records when that is shorter; only a --trace file is read into
+    // a new vector.
     std::unique_ptr<const SharedTrace> shared;
-    if (!trace_path.empty() && limit == 0 &&
-        MappedTraceSource::probe(trace_path, nullptr, nullptr)) {
+    if (built && (limit == 0 || limit >= built->size())) {
+        shared = std::move(built);
+    } else if (built) {
+        const auto &records = built->records();
+        auto prefix = std::make_unique<VectorTraceSource>(
+            std::vector<TraceRecord>(records.begin(),
+                                     records.begin() +
+                                         static_cast<std::ptrdiff_t>(limit)));
+        built.reset();
+        shared = std::move(prefix);
+    } else if (limit == 0 &&
+               MappedTraceSource::probe(trace_path, nullptr, nullptr)) {
         auto mapped = std::make_unique<MappedTraceSource>(trace_path);
         std::printf("mapped      : %llu records, %llu bytes\n",
                     static_cast<unsigned long long>(
@@ -319,7 +338,7 @@ main(int argc, char **argv)
         VectorTraceSink sink(*materialized);
         TraceRecord rec;
         std::uint64_t taken = 0;
-        while ((limit == 0 || taken < limit) && source->next(rec)) {
+        while ((limit == 0 || taken < limit) && file->next(rec)) {
             sink.emit(rec);
             ++taken;
         }

@@ -57,6 +57,7 @@ main(int argc, char **argv)
     std::string path;
     std::uint64_t head = 20;
     bool stats = false;
+    bool version = false;
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -66,8 +67,7 @@ main(int argc, char **argv)
         } else if (arg == "--stats") {
             stats = true;
         } else if (arg == "--version") {
-            support::version::print("ddsc-trace-dump");
-            return 0;
+            version = true;
         } else if (!arg.empty() && arg[0] == '-') {
             usage();
         } else if (path.empty()) {
@@ -75,6 +75,10 @@ main(int argc, char **argv)
         } else {
             usage();
         }
+    }
+    if (version) {     // only once the whole command line parses
+        support::version::print("ddsc-trace-dump");
+        return 0;
     }
     if (path.empty())
         usage();

@@ -248,6 +248,8 @@ main(int argc, char **argv)
         usage();
     const std::string mode = argv[1];
     if (mode == "--version") {
+        if (argc > 2)
+            usage();    // "--version --bogus" does not parse
         ddsc::support::version::print("ddsc-tracegen");
         return 0;
     }
