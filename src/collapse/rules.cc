@@ -91,7 +91,7 @@ CollapseRules::judge(const ExprSize &combined,
         // Legal only thanks to zero-operand elimination.
         category = CollapseCategory::ZeroOp;
     } else if (combined.instructions == 2 &&
-               combined.rawOperands <= narrowOperands) {
+               combined.rawOperands <= kNarrowOperands) {
         category = CollapseCategory::ThreeOne;
     } else {
         // Triples, and pairs too wide for the 3-1 device.

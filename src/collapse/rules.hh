@@ -76,8 +76,9 @@ struct CollapseRules
 {
     /** Largest operand count the widest device accepts (4 = 4-1). */
     unsigned maxOperands = 4;
-    /** Operand count handled by the narrow device (3 = 3-1). */
-    unsigned narrowOperands = 3;
+    /** Operand count handled by the narrow device (3 = 3-1); fixed,
+     *  and still written into MachineConfig::fingerprint(). */
+    static constexpr unsigned kNarrowOperands = 3;
     /** Largest group size (3 = pairs and triples). */
     unsigned maxInstructions = 3;
     /** Discard zero operands when sizing expressions. */

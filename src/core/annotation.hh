@@ -1,15 +1,12 @@
 /**
  * @file
  * Width-independent per-record annotations shared between the
- * speculative front-end (core/frontend.hh), the window back-ends
- * (core/scheduler.hh), and the speculation-module stack (src/spec/).
+ * speculative front-end (core/frontend.hh) and the window back-ends
+ * (core/scheduler.hh, core/placement.hh).
  *
  * Everything in here is *pure program order*: an annotation depends
  * only on the trace prefix, never on window contents, issue timing, or
  * width, so one front-end pass can feed any number of back-end cells.
- * This header exists on its own (rather than inside frontend.hh) so
- * the speculation modules can consume and edit annotations without a
- * circular dependency on the front-end that orchestrates them.
  */
 
 #ifndef DDSC_CORE_ANNOTATION_HH

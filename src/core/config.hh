@@ -10,8 +10,7 @@
  *   E  base + d-collapsing + ideal load-speculation
  * at issue widths 4, 8, 16, 32, and 2048 with window = 2 x width.
  *
- * The speculation-module extension adds configurations beyond the
- * paper's matrix (src/spec/):
+ * Two extension configurations go beyond the paper's matrix:
  *   F  D with perfect memory disambiguation replaced by a predicted
  *      one (store-set-style dependence predictor; violations squash)
  *   G  D + context-based (FCM/stride hybrid) load-value prediction
@@ -38,7 +37,7 @@ enum class LoadSpecMode
     Ideal,  ///< every load address predicted correctly
 };
 
-/** Memory-disambiguation variants (the mem-dep speculation module). */
+/** Memory-disambiguation variants. */
 enum class MemDepMode
 {
     Perfect,    ///< paper: a load waits only for the true producing store
@@ -48,9 +47,38 @@ enum class MemDepMode
 /** Which trained load-value predictor backs loadValuePrediction. */
 enum class ValuePredKind
 {
-    LastValue,  ///< last value + 2-bit confidence (historical module)
+    LastValue,  ///< last value + 2-bit confidence (src/vpred/)
     FcmStride,  ///< context(FCM)/stride hybrid with confidence gating
 };
+
+/**
+ * Fixed parameters of the speculation mechanisms.  No configuration
+ * varies them, so they are constants rather than MachineConfig knobs;
+ * MachineConfig::fingerprint() still writes each one, so the persisted
+ * 28-field layout (kFingerprintSchema 2), every store key and every
+ * shard placement stay as they were when they were knobs.
+ */
+/** Return-address-stack depth when realCtiPrediction is on. */
+constexpr unsigned kRasDepth = 16;
+/** Address-predictor table size (12 = 4096 entries). */
+constexpr unsigned kAddrPredIndexBits = 12;
+/** Dependence-predictor table size (12 = 4096 entries). */
+constexpr unsigned kMemDepIndexBits = 12;
+/** Predict "dependent" only when confidence > threshold. */
+constexpr unsigned kMemDepConfidenceThreshold = 1;
+/** A store older than this many dynamic instructions counts as
+ *  resolved when training the dependence predictor (its value is long
+ *  since available, so speculating past it is free). */
+constexpr unsigned kMemDepTrainDistance = 512;
+/** Squash/re-issue cost in cycles charged to a load that issued past
+ *  a store it truly depended on. */
+constexpr unsigned kMemSquashPenalty = 12;
+/** Value-predictor table size (12 = 4096 entries). */
+constexpr unsigned kVpredIndexBits = 12;
+/** Use a predicted value only when confidence > threshold. */
+constexpr unsigned kVpredConfidenceThreshold = 1;
+/** FCM history depth (values hashed into the context). */
+constexpr unsigned kVpredHistoryLength = 4;
 
 /**
  * All knobs of one simulated machine.
@@ -91,8 +119,6 @@ struct MachineConfig
      * Mispredictions barrier like conditional-branch mispredictions.
      */
     bool realCtiPrediction = false;
-    /** Return-address-stack depth when realCtiPrediction is on. */
-    unsigned rasDepth = 16;
 
     /**
      * Use the O(window)-per-cycle scan engine instead of program-order
@@ -110,34 +136,15 @@ struct MachineConfig
      * Predicted mode replaces it with a trained dependence predictor:
      * a load predicted independent issues without waiting for the
      * producing store, and a violation detected at issue time squashes
-     * it (re-issue cost memSquashPenalty, surfaced in SchedStats).
+     * it (re-issue cost kMemSquashPenalty, surfaced in SchedStats).
      */
     MemDepMode memDep = MemDepMode::Perfect;
-    /** Dependence-predictor table size (12 = 4096 entries). */
-    unsigned memDepIndexBits = 12;
-    /** Predict "dependent" only when confidence > threshold. */
-    unsigned memDepConfidenceThreshold = 1;
-    /** A store older than this many dynamic instructions counts as
-     *  resolved when training the dependence predictor (its value is
-     *  long since available, so speculating past it is free). */
-    unsigned memDepTrainDistance = 512;
-    /** Squash/re-issue cost in cycles charged to a load that issued
-     *  past a store it truly depended on. */
-    unsigned memSquashPenalty = 12;
 
     /** Which trained predictor backs loadValuePrediction. */
     ValuePredKind valuePredKind = ValuePredKind::LastValue;
-    /** Value-predictor table size (12 = 4096 entries). */
-    unsigned vpredIndexBits = 12;
-    /** Use a predicted value only when confidence > threshold. */
-    unsigned vpredConfidenceThreshold = 1;
-    /** FCM history depth (values hashed into the context). */
-    unsigned vpredHistoryLength = 4;
 
     /** Branch predictor size: bimodalN/gshareN+1 (13 = 8 kByte). */
     unsigned bpredIndexBits = 13;
-    /** Address predictor table size (12 = 4096 entries). */
-    unsigned addrPredIndexBits = 12;
     /** Use a predicted address only when confidence > threshold. */
     unsigned addrConfidenceThreshold = 1;
     /** Which realistic predictor to use (paper: two-delta stride). */
@@ -151,7 +158,8 @@ struct MachineConfig
      *
      * Adding, removing, or reordering a field changes the layout:
      * bump support::version::kFingerprintSchema and kFingerprintFields
-     * with it (experiment_test pins the field count).
+     * with it (experiment_test pins the field count).  The fixed
+     * parameters above keep their fields, written from the constants.
      */
     std::string
     fingerprint() const
@@ -166,7 +174,7 @@ struct MachineConfig
         field(std::to_string(collapsing));
         field(std::to_string(static_cast<unsigned>(loadSpec)));
         field(std::to_string(rules.maxOperands));
-        field(std::to_string(rules.narrowOperands));
+        field(std::to_string(CollapseRules::kNarrowOperands));
         field(std::to_string(rules.maxInstructions));
         field(std::to_string(rules.zeroOpDetection));
         field(std::to_string(rules.maxCollapseDistance));
@@ -174,33 +182,35 @@ struct MachineConfig
         field(std::to_string(nodeElimination));
         field(std::to_string(loadValuePrediction));
         field(std::to_string(realCtiPrediction));
-        field(std::to_string(rasDepth));
+        field(std::to_string(kRasDepth));
         field(std::to_string(naiveEngine));
         field(std::to_string(bpredIndexBits));
-        field(std::to_string(addrPredIndexBits));
+        field(std::to_string(kAddrPredIndexBits));
         field(std::to_string(addrConfidenceThreshold));
         field(std::to_string(static_cast<unsigned>(addrPredKind)));
         field(std::to_string(static_cast<unsigned>(memDep)));
-        field(std::to_string(memDepIndexBits));
-        field(std::to_string(memDepConfidenceThreshold));
-        field(std::to_string(memDepTrainDistance));
-        field(std::to_string(memSquashPenalty));
+        field(std::to_string(kMemDepIndexBits));
+        field(std::to_string(kMemDepConfidenceThreshold));
+        field(std::to_string(kMemDepTrainDistance));
+        field(std::to_string(kMemSquashPenalty));
         field(std::to_string(static_cast<unsigned>(valuePredKind)));
-        field(std::to_string(vpredIndexBits));
-        field(std::to_string(vpredConfidenceThreshold));
-        field(std::to_string(vpredHistoryLength));
+        field(std::to_string(kVpredIndexBits));
+        field(std::to_string(kVpredConfidenceThreshold));
+        field(std::to_string(kVpredHistoryLength));
         return fp;
     }
 
     /**
      * Canonical encoding of the knobs the speculative *front-end*
-     * depends on (see SpecFrontEnd): branch/CTI prediction and the
-     * load address/value predictor training.  Two configs with equal
-     * front-end fingerprints produce identical per-record annotations
-     * for any trace, so one streaming front-end pass can feed both
-     * back-ends.  Knobs that only matter when a predictor is off are
-     * normalized away (config A and config C group together even if
-     * their unused address-predictor knobs differ).
+     * depends on (see SpecFrontEnd): branch/CTI prediction and which
+     * load predictors (address, value, memory dependence) train.  The
+     * fixed predictor parameters are constants, so they need no field.
+     * Two configs with equal front-end fingerprints produce identical
+     * per-record annotations for any trace, so one streaming front-end
+     * pass can feed both back-ends.  Knobs that only matter when a
+     * predictor is off are normalized away (config A and config C
+     * group together even if their unused address-predictor knobs
+     * differ).
      *
      * Grouping only — never persisted, not part of
      * kFingerprintSchema.  The paper matrix groups into two passes per
@@ -217,34 +227,21 @@ struct MachineConfig
         field(bpredIndexBits);
         const bool train_addr = loadSpec == LoadSpecMode::Real;
         field(train_addr);
-        field(train_addr ? addrPredIndexBits : 0);
         field(train_addr ? addrConfidenceThreshold : 0);
         field(train_addr ? static_cast<unsigned>(addrPredKind) : 0);
         field(loadValuePrediction);
         field(loadValuePrediction
                   ? static_cast<unsigned>(valuePredKind) : 0);
-        field(loadValuePrediction ? vpredIndexBits : 0);
-        field(loadValuePrediction ? vpredConfidenceThreshold : 0);
-        field(loadValuePrediction &&
-                      valuePredKind == ValuePredKind::FcmStride
-                  ? vpredHistoryLength : 0);
         field(realCtiPrediction);
-        field(realCtiPrediction ? rasDepth : 0);
-        const bool train_memdep = memDep == MemDepMode::Predicted;
-        field(train_memdep);
-        field(train_memdep ? memDepIndexBits : 0);
-        field(train_memdep ? memDepConfidenceThreshold : 0);
-        field(train_memdep ? memDepTrainDistance : 0);
-        // memSquashPenalty is back-end-only: it shifts issue timing,
-        // never an annotation, so it must not split front-end groups.
+        field(memDep == MemDepMode::Predicted);
         return fp;
     }
 
     /**
      * The known configurations by letter: the paper's five (A-E) plus
-     * the speculation-module extension configs (F, G, ...), which ride
-     * the same char-letter plumbing through the matrix, the result
-     * store, and the serving fleet with zero protocol changes.
+     * the extension configs (F, G), which ride the same char-letter
+     * plumbing through the matrix, the result store, and the serving
+     * fleet with zero protocol changes.
      */
     static MachineConfig
     paper(char id, unsigned issue_width)
@@ -272,7 +269,7 @@ struct MachineConfig
             break;
           case 'F':
             // D with the paper's perfect disambiguation replaced by a
-            // predicted one (memory-dependence speculation module).
+            // predicted one (spec::MemDepPredictor).
             cfg.collapsing = true;
             cfg.loadSpec = LoadSpecMode::Real;
             cfg.memDep = MemDepMode::Predicted;

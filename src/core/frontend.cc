@@ -15,12 +15,52 @@ struct SpecFrontEnd::StorePage
     std::array<std::uint64_t, kStorePageBytes> seq;
 };
 
+namespace
+{
+
+/** Predict @p rec's loaded value with @p pred, flag the outcome, and
+ *  train it with the actual value. */
+template <typename ValuePredictor>
+void
+predictValue(ValuePredictor &pred, const TraceRecord &rec,
+             InsertAnnotation &out)
+{
+    const ValuePrediction vp = pred.predict(rec.pc);
+    if (vp.usable) {
+        out.flags |= InsertAnnotation::kFlagVpredUsable;
+        if (vp.value == rec.memValue)
+            out.flags |= InsertAnnotation::kFlagVpredCorrect;
+    }
+    pred.update(rec.pc, rec.memValue);
+}
+
+} // anonymous namespace
+
 SpecFrontEnd::SpecFrontEnd(const MachineConfig &config)
     : realCti_(config.realCtiPrediction),
+      collapseColumns_(config.collapsing),
       bpred_(std::make_unique<CombiningPredictor>(config.bpredIndexBits)),
-      ras_(config.rasDepth),
-      stack_(config, trains_)
+      ras_(kRasDepth)
 {
+    if (config.loadSpec == LoadSpecMode::Real) {
+        addrPred_ = makeAddressPredictor(config.addrPredKind,
+                                         kAddrPredIndexBits,
+                                         config.addrConfidenceThreshold);
+    }
+    if (config.memDep == MemDepMode::Predicted) {
+        memDepPred_ = std::make_unique<spec::MemDepPredictor>(
+            kMemDepIndexBits, kMemDepConfidenceThreshold);
+    }
+    if (config.loadValuePrediction) {
+        if (config.valuePredKind == ValuePredKind::LastValue) {
+            lastValuePred_ = std::make_unique<LoadValuePredictor>(
+                kVpredIndexBits, kVpredConfidenceThreshold);
+        } else {
+            fcmStridePred_ = std::make_unique<spec::FcmStrideValuePredictor>(
+                kVpredIndexBits, kVpredConfidenceThreshold,
+                kVpredHistoryLength);
+        }
+    }
 }
 
 SpecFrontEnd::~SpecFrontEnd() = default;
@@ -29,7 +69,14 @@ void
 SpecFrontEnd::reset()
 {
     bpred_->reset();
-    stack_.reset();
+    if (addrPred_)
+        addrPred_->reset();
+    if (memDepPred_)
+        memDepPred_->reset();
+    if (lastValuePred_)
+        lastValuePred_->reset();
+    if (fcmStridePred_)
+        fcmStridePred_->reset();
     ras_.reset();
     itb_.reset();
     std::fill(std::begin(lastRegWriter_), std::end(lastRegWriter_),
@@ -77,12 +124,72 @@ SpecFrontEnd::storePage(std::uint64_t base, bool create)
     return page;
 }
 
+std::uint64_t
+SpecFrontEnd::lastStoreTo(const TraceRecord &rec)
+{
+    std::uint64_t producer = 0;
+    const StorePage *page = nullptr;
+    std::uint64_t page_base = 1;    // unaligned = no page yet
+    for (unsigned b = 0; b < rec.memSize(); ++b) {
+        const std::uint64_t addr = rec.ea + b;
+        const std::uint64_t base = addr & ~(kStorePageBytes - 1);
+        if (base != page_base) {
+            page = storePage(base, /*create=*/false);
+            page_base = base;
+        }
+        if (page)
+            producer = std::max(producer,
+                                page->seq[addr & (kStorePageBytes - 1)]);
+    }
+    return producer;
+}
+
+void
+SpecFrontEnd::addMemoryArc(const TraceRecord &rec, std::uint64_t seq,
+                           InsertAnnotation &out)
+{
+    const std::uint64_t producer = lastStoreTo(rec);
+    if (!memDepPred_) {
+        // The paper's model: the memory arc (if any) is the last arc,
+        // appended after data/address/cc producers.
+        out.addDep(producer, false);
+        return;
+    }
+
+    const bool predicted = memDepPred_->predictDependent(rec.pc);
+    // A producer far enough in the past has long since retired, so
+    // issuing past it cannot squash; train "independent" for those.
+    const bool dependent =
+        producer != 0 && seq - producer <= kMemDepTrainDistance;
+    memDepPred_->update(rec.pc, dependent);
+    ++trains_.memdep;
+
+    if (predicted)
+        out.flags |= InsertAnnotation::kFlagMemDepPredicted;
+    if (producer != 0) {
+        // The true arc always travels with the annotation; the back-end
+        // enforces it (predicted dependent) or speculates past it and
+        // squashes on violation (predicted independent).
+        out.flags |= InsertAnnotation::kFlagMemDepActual;
+        out.addDep(producer, false);
+    } else if (predicted && lastStoreSeq_ != 0 && out.depCount < 4) {
+        // Predicted dependent, but no store actually conflicts: charge
+        // the classic false-dependence cost by waiting on the youngest
+        // store.
+        out.flags |= InsertAnnotation::kFlagMemDepFalse;
+        out.addDep(lastStoreSeq_, false);
+    }
+}
+
 void
 SpecFrontEnd::annotate(const TraceRecord &rec, InsertAnnotation &out)
 {
     const std::uint64_t seq = nextSeq_++;
     out = InsertAnnotation{};
-    stack_.annotateRecord(rec, out);    // phase 1: collapse columns
+    if (collapseColumns_) {
+        out.expr = ExprSize::of(rec);
+        out.sig = packInstructionSignature(rec);
+    }
     out.bbId = nextBbId_;
     if (isControl(rec.cls()))
         ++nextBbId_;                // this instruction ends its block
@@ -157,31 +264,29 @@ SpecFrontEnd::annotate(const TraceRecord &rec, InsertAnnotation &out)
     if (rec.readsCC())
         out.addDep(lastCCWriter_, false);
 
-    // Ground truth for the speculation modules: perfect disambiguation
-    // (the most recent store that wrote one of this load's bytes) and
-    // the youngest store overall.
-    spec::MemDepObservation mem;
-    mem.lastStoreSeq = lastStoreSeq_;
+    // --- loads: the memory arc, then address and value prediction,
+    // each trained by every load in program order whether or not its
+    // prediction is used (the paper's Section 3 discipline) ------------
     if (rec.isLoad()) {
-        const StorePage *page = nullptr;
-        std::uint64_t page_base = 1;    // unaligned = no page yet
-        for (unsigned b = 0; b < rec.memSize(); ++b) {
-            const std::uint64_t addr = rec.ea + b;
-            const std::uint64_t base = addr & ~(kStorePageBytes - 1);
-            if (base != page_base) {
-                page = storePage(base, /*create=*/false);
-                page_base = base;
+        addMemoryArc(rec, seq, out);
+        if (addrPred_) {
+            const AddrPrediction pred = addrPred_->predict(rec.pc);
+            if (pred.usable) {
+                out.flags |= InsertAnnotation::kFlagPredUsable;
+                if (pred.addr == rec.ea)
+                    out.flags |= InsertAnnotation::kFlagPredCorrect;
             }
-            if (page)
-                mem.perfectDepSeq = std::max(
-                    mem.perfectDepSeq,
-                    page->seq[addr & (kStorePageBytes - 1)]);
+            addrPred_->update(rec.pc, rec.ea);
+            ++trains_.address;
+        }
+        if (lastValuePred_) {
+            predictValue(*lastValuePred_, rec, out);
+            ++trains_.value;
+        } else if (fcmStridePred_) {
+            predictValue(*fcmStridePred_, rec, out);
+            ++trains_.value;
         }
     }
-
-    // --- phase 2: the module stack appends the memory arc, trains the
-    // load predictors, and sets the speculation outcome flags ---------
-    stack_.proposeRelaxations(rec, seq, mem, out);
 
     // --- update producer tables (after reading them) ------------------
     const int dest = rec.destReg();
@@ -236,6 +341,42 @@ SpecFrontEnd::fill(TraceSource &trace, FrontEndBatch &batch,
         batch.sig.push_back(ann.sig);
     }
     return batch.size();
+}
+
+std::string
+speculationSummary(const MachineConfig &config)
+{
+    std::string out;
+    const auto step = [&out](const std::string &name) {
+        if (!out.empty())
+            out += " -> ";
+        out += name;
+    };
+    if (config.collapsing)
+        step("collapse(3-1/4-1 interlock columns)");
+    if (config.memDep == MemDepMode::Perfect) {
+        step("mem-dep(perfect disambiguation)");
+    } else {
+        step("mem-dep(predicted, " +
+             std::to_string(1u << kMemDepIndexBits) +
+             " entries, train-dist " +
+             std::to_string(kMemDepTrainDistance) + ")");
+    }
+    if (config.loadSpec == LoadSpecMode::Real)
+        step("addr-spec(" +
+             std::string(addrPredKindName(config.addrPredKind)) + ")");
+    if (config.loadValuePrediction) {
+        step(std::string(config.valuePredKind == ValuePredKind::LastValue
+                             ? "value-pred(last-value, "
+                             : "value-pred(fcm/stride hybrid, ") +
+             std::to_string(1u << kVpredIndexBits) + " entries)");
+    }
+    // Ideal address speculation is no front-end step (the back-end
+    // treats every load as predicted correctly); say so rather than
+    // listing nothing for it.
+    if (config.loadSpec == LoadSpecMode::Ideal)
+        out += " [+ ideal address oracle in back-end]";
+    return out;
 }
 
 } // namespace ddsc

@@ -18,16 +18,14 @@
  *    byte), i.e. the raw RAW dependence seqs of every record;
  *  - the node-elimination overwrite bookkeeping (which older writer a
  *    record's destination overwrites, and whether a live cc value
- *    blocks eliminating it).
- *
- * Everything *speculative about dependences* — the memory arc
- * (perfect or predicted), address-predictor and value-predictor
- * training and their per-load outcome flags, collapse-detection
- * columns — is delegated to an ordered stack of speculation modules
- * (src/spec/): the front-end resolves ground truth, the stack
- * proposes relaxations.  See spec/orchestrator.hh for the stack
- * order, which preserves the historical annotate() operation order
- * exactly.
+ *    blocks eliminating it);
+ *  - the four speculation mechanisms, called directly in a fixed
+ *    order: the collapse-detection columns (expression size and
+ *    signature fragment, pure functions of the record), then each
+ *    load's memory arc (perfect disambiguation, or config F's
+ *    predicted one), then address prediction (two-delta by default),
+ *    then last-value or FCM/stride value prediction.  Only the
+ *    predictors the configuration trains are built.
  *
  * The result is one InsertAnnotation per record.  A width-W back-end
  * combines (record, annotation) with its own window state —
@@ -56,14 +54,18 @@
 #include <unordered_map>
 #include <vector>
 
+#include <string>
+
+#include "addrpred/addrpred.hh"
 #include "bpred/bpred.hh"
 #include "bpred/cti_pred.hh"
-#include "collapse/rules.hh"
 #include "core/annotation.hh"
 #include "core/config.hh"
-#include "spec/orchestrator.hh"
+#include "spec/fcm_stride_predictor.hh"
+#include "spec/mem_dep_predictor.hh"
 #include "trace/record.hh"
 #include "trace/source.hh"
+#include "vpred/vpred.hh"
 
 namespace ddsc
 {
@@ -146,7 +148,7 @@ class SpecFrontEnd
      *  sizes and signature fragments).  The constructor enables them
      *  iff the owning configuration collapses; a shared batched pass
      *  enables them when any consumer in its group does. */
-    void setCollapseColumns(bool on) { stack_.setCollapseColumns(on); }
+    void setCollapseColumns(bool on) { collapseColumns_ = on; }
 
     /** Annotate the next record in program order. */
     void annotate(const TraceRecord &rec, InsertAnnotation &out);
@@ -163,25 +165,33 @@ class SpecFrontEnd
     /** Records annotated since the last reset(). */
     std::uint64_t recordsAnnotated() const { return nextSeq_ - 1; }
 
-    /** The speculation-module stack this front-end composed. */
-    const spec::SpeculationStack &stack() const { return stack_; }
-
   private:
     struct StorePage;
     StorePage *storePage(std::uint64_t base, bool create);
 
+    /** The most recent store that wrote one of @p rec's bytes (0 =
+     *  none): perfect disambiguation. */
+    std::uint64_t lastStoreTo(const TraceRecord &rec);
+    /** The load's memory arc and, in config F, its predicted-
+     *  dependence flags (trains the dependence predictor). */
+    void addMemoryArc(const TraceRecord &rec, std::uint64_t seq,
+                      InsertAnnotation &out);
+
     bool realCti_;              ///< realCtiPrediction
+    bool collapseColumns_;      ///< annotate expr and sig
 
     std::unique_ptr<BranchPredictor> bpred_;
     ReturnAddressStack ras_;
     IndirectTargetBuffer itb_;
 
-    /** Training activity; declared before stack_, whose modules hold
-     *  a reference into it. */
+    /** The load predictors, each built only when the configuration
+     *  trains it (null otherwise). */
+    std::unique_ptr<AddressPredictor> addrPred_;            ///< loadSpec Real
+    std::unique_ptr<spec::MemDepPredictor> memDepPred_;     ///< config F
+    std::unique_ptr<LoadValuePredictor> lastValuePred_;
+    std::unique_ptr<spec::FcmStrideValuePredictor> fcmStridePred_;
+
     FrontEndTrainCounts trains_;
-    /** The ordered speculation-module stack (collapse columns, memory
-     *  arc, address/value prediction). */
-    spec::SpeculationStack stack_;
 
     /** Rename state: last writer seq per register (0 = none). */
     std::uint64_t lastRegWriter_[kNumRegs] = {};
@@ -202,6 +212,13 @@ class SpecFrontEnd
     std::uint64_t nextSeq_ = 1;         ///< 0 reserved for "none"
     std::uint64_t nextBbId_ = 0;
 };
+
+/**
+ * The speculation steps @p config's front-end runs, in order, as one
+ * line for `--list-configs` ("collapse(...) -> mem-dep(...) ->
+ * addr-spec(...)"), built from the configuration alone.
+ */
+std::string speculationSummary(const MachineConfig &config);
 
 } // namespace ddsc
 

@@ -217,7 +217,7 @@ PlacementEngine::place(const FrontEndBatch &batch, std::size_t i)
         ++stats_.memDepSquashes;
         if (!spec_value) {
             issue = freeCycle(store_value);
-            penalty = config_.memSquashPenalty;
+            penalty = kMemSquashPenalty;
         }
     }
     ++issuesAt(issue);

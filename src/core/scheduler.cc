@@ -10,7 +10,7 @@ namespace ddsc
 {
 
 LimitScheduler::LimitScheduler(const MachineConfig &config)
-    : config_(config), frontEnd_(config), placement_(config),
+    : config_(config), placement_(config),
       scan_(config.naiveEngine || config.nodeElimination)
 {
     ddsc_assert(config.issueWidth >= 1, "issue width must be positive");
@@ -501,7 +501,7 @@ LimitScheduler::issue(Entry &entry, std::uint64_t cycle)
         // A load re-issuing after a memory-dependence squash pays the
         // modeled squash/refetch penalty on top of its latency.
         const std::uint64_t penalty =
-            entry.memSquashed ? config_.memSquashPenalty : 0;
+            entry.memSquashed ? kMemSquashPenalty : 0;
         entry.valueTime = cycle + opLatency(entry.rec.op) + penalty;
     }
     recordRetired(entry.seq, entry.valueTime);
@@ -588,13 +588,13 @@ LimitScheduler::scanCycle()
 SchedStats
 LimitScheduler::run(TraceSource &trace)
 {
-    // A one-cell batched pass: the private front-end annotates the
+    // A one-cell batched pass: a front-end of its own annotates the
     // trace chunk by chunk and feeds only this back-end.
     const auto start = std::chrono::steady_clock::now();
-    frontEnd_.reset();
+    SpecFrontEnd front_end(config_);
     FrontEndBatch batch;
     beginBatched();
-    while (frontEnd_.fill(trace, batch, kBatchedChunk) != 0)
+    while (front_end.fill(trace, batch, kBatchedChunk) != 0)
         feedBatched(batch);
     SchedStats stats = finishBatched();
     stats.wallNanos = static_cast<std::uint64_t>(

@@ -223,9 +223,6 @@ class LimitScheduler
     void growRetired();
 
     MachineConfig config_;
-    /** run()'s private front-end; a shared batched pass bypasses it
-     *  (annotations arrive from an external SpecFrontEnd). */
-    SpecFrontEnd frontEnd_;
 
     /** Production engine, or the scan engine below for naiveEngine
      *  and nodeElimination cells. */

@@ -1,6 +1,4 @@
-#include "value_pred_module.hh"
-
-#include <cstdio>
+#include "fcm_stride_predictor.hh"
 
 #include "support/logging.hh"
 
@@ -122,60 +120,6 @@ FcmStrideValuePredictor::reset()
         e = Entry{};
     for (ContextEntry &c : contexts_)
         c = ContextEntry{};
-}
-
-ValuePredModule::ValuePredModule(const MachineConfig &config,
-                                 FrontEndTrainCounts &trains)
-    : kind_(config.valuePredKind),
-      lastValue_(config.vpredIndexBits, config.vpredConfidenceThreshold),
-      fcmStride_(config.vpredIndexBits, config.vpredConfidenceThreshold,
-                 config.vpredHistoryLength),
-      trains_(trains)
-{
-}
-
-std::string
-ValuePredModule::describe() const
-{
-    char buf[96];
-    if (kind_ == ValuePredKind::LastValue)
-        std::snprintf(buf, sizeof(buf),
-                      "value-pred(last-value, %zu entries)",
-                      lastValue_.entries());
-    else
-        std::snprintf(buf, sizeof(buf),
-                      "value-pred(fcm/stride hybrid, %zu entries)",
-                      fcmStride_.entries());
-    return buf;
-}
-
-void
-ValuePredModule::reset()
-{
-    lastValue_.reset();
-    fcmStride_.reset();
-}
-
-void
-ValuePredModule::proposeRelaxations(const TraceRecord &rec, std::uint64_t,
-                                    const MemDepObservation &,
-                                    InsertAnnotation &ann)
-{
-    if (!rec.isLoad())
-        return;
-    const ValuePrediction vp = kind_ == ValuePredKind::LastValue
-                                   ? lastValue_.predict(rec.pc)
-                                   : fcmStride_.predict(rec.pc);
-    if (vp.usable) {
-        ann.flags |= InsertAnnotation::kFlagVpredUsable;
-        if (vp.value == rec.memValue)
-            ann.flags |= InsertAnnotation::kFlagVpredCorrect;
-    }
-    if (kind_ == ValuePredKind::LastValue)
-        lastValue_.update(rec.pc, rec.memValue);
-    else
-        fcmStride_.update(rec.pc, rec.memValue);
-    ++trains_.value;
 }
 
 } // namespace ddsc::spec

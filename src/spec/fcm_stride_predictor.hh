@@ -1,30 +1,30 @@
 /**
  * @file
- * The load-value-prediction speculation module.
+ * The context-based FCM/stride hybrid load-value predictor of config
+ * G.
  *
- * Wraps the historical last-value predictor (src/vpred/) and adds a
- * context-based FCM/stride *hybrid* (config G): a per-pc first level
- * tracks the last value, the current stride, and a hashed history of
- * recent values; a shared second-level table keyed by that history
- * predicts context-correlated (non-stride) value sequences.  Each side
- * carries its own confidence, and the hybrid uses whichever confident
- * component is stronger — the standard FCM/stride tournament after
- * Sazeides & Smith, the natural "how far can value prediction go"
- * companion to the paper's address-stride study.
+ * A per-pc first level tracks the last value, the current stride, and
+ * a hashed history of recent values; a shared second-level table
+ * keyed by that history predicts context-correlated (non-stride)
+ * value sequences.  Each side carries its own confidence, and the
+ * hybrid uses whichever confident component is stronger — the
+ * standard FCM/stride tournament after Sazeides & Smith, the natural
+ * "how far can value prediction go" companion to the paper's
+ * address-stride study.
  *
- * The module only sets the kFlagVpredUsable/kFlagVpredCorrect outcome
- * flags; the back-end's value-prediction timing (a correct prediction
- * frees dependents one cycle after non-address constraints resolve) is
- * unchanged and shared by both predictor kinds.
+ * SpecFrontEnd trains it on every load and sets only the
+ * kFlagVpredUsable/kFlagVpredCorrect outcome flags; the back-end's
+ * value-prediction timing is the same as for the last-value predictor
+ * (src/vpred/).
  */
 
-#ifndef DDSC_SPEC_VALUE_PRED_MODULE_HH
-#define DDSC_SPEC_VALUE_PRED_MODULE_HH
+#ifndef DDSC_SPEC_FCM_STRIDE_PREDICTOR_HH
+#define DDSC_SPEC_FCM_STRIDE_PREDICTOR_HH
 
+#include <cstddef>
+#include <cstdint>
 #include <vector>
 
-#include "core/config.hh"
-#include "spec/module.hh"
 #include "support/sat_counter.hh"
 #include "vpred/vpred.hh"
 
@@ -86,28 +86,6 @@ class FcmStrideValuePredictor
     std::vector<ContextEntry> contexts_;
 };
 
-/** The module: sets value-prediction outcome flags on loads. */
-class ValuePredModule final : public SpeculationModule
-{
-  public:
-    ValuePredModule(const MachineConfig &config,
-                    FrontEndTrainCounts &trains);
-
-    const char *name() const override { return "value-pred"; }
-    std::string describe() const override;
-    void reset() override;
-
-    void proposeRelaxations(const TraceRecord &rec, std::uint64_t seq,
-                            const MemDepObservation &mem,
-                            InsertAnnotation &ann) override;
-
-  private:
-    ValuePredKind kind_;
-    LoadValuePredictor lastValue_;
-    FcmStrideValuePredictor fcmStride_;
-    FrontEndTrainCounts &trains_;
-};
-
 } // namespace ddsc::spec
 
-#endif // DDSC_SPEC_VALUE_PRED_MODULE_HH
+#endif // DDSC_SPEC_FCM_STRIDE_PREDICTOR_HH

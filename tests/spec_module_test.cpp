@@ -1,9 +1,10 @@
 /**
  * @file
- * The speculation-module subsystem: predictor unit behaviour, stack
- * composition, engine-equivalence for the module-backed configs F/G,
- * the train-once property through the batched pass, and the
- * misspeculation accounting of predicted memory disambiguation.
+ * The speculation mechanisms of configs F and G: predictor unit
+ * behaviour, the `--list-configs` summary of each letter's front-end
+ * steps, engine-equivalence for F/G, the train-once property through
+ * the batched pass, and the misspeculation accounting of predicted
+ * memory disambiguation.
  *
  * The misspeculation tests are the subsystem's semantic anchor: a
  * crafted trace where the cold collision-history predictor *provably*
@@ -22,9 +23,8 @@
 #include "core/sched_stats.hh"
 #include "core/scheduler.hh"
 #include "sim/batched.hh"
-#include "spec/mem_dep_module.hh"
-#include "spec/orchestrator.hh"
-#include "spec/value_pred_module.hh"
+#include "spec/fcm_stride_predictor.hh"
+#include "spec/mem_dep_predictor.hh"
 #include "test_helpers.hh"
 #include "trace/synthetic.hh"
 #include "workloads/workloads.hh"
@@ -144,16 +144,14 @@ TEST(FcmStrideValuePredictor, ConfidenceGatesAfterMisses)
 }
 
 // ---------------------------------------------------------------------
-// Stack composition and summaries.
+// The --list-configs summary of each letter's speculation steps (the
+// suite keeps the name of the module stack those steps replaced).
 // ---------------------------------------------------------------------
 
 std::string
 describeLetter(char id)
 {
-    const MachineConfig cfg = MachineConfig::paper(id, 8);
-    FrontEndTrainCounts trains;
-    const spec::SpeculationStack stack(cfg, trains);
-    return stack.describe();
+    return speculationSummary(MachineConfig::paper(id, 8));
 }
 
 TEST(SpeculationStack, ComposesPerConfigLetter)
@@ -180,28 +178,45 @@ TEST(SpeculationStack, ComposesPerConfigLetter)
 TEST(SpeculationStack, SummaryNotesIdealOracle)
 {
     // Config E's ideal address speculation lives in the back-end, not
-    // in a module; --list-configs must still say so.
-    const std::string e =
-        spec::moduleStackSummary(MachineConfig::paper('E', 8));
+    // in a front-end step; --list-configs must still say so.
+    const std::string e = describeLetter('E');
     EXPECT_NE(e.find("ideal address oracle"), std::string::npos) << e;
-    const std::string d =
-        spec::moduleStackSummary(MachineConfig::paper('D', 8));
+    const std::string d = describeLetter('D');
     EXPECT_EQ(d.find("ideal"), std::string::npos) << d;
 }
 
 TEST(SpeculationStack, EveryKnownConfigBuildsAndDescribes)
 {
+    // The summary is built from the configuration alone, and the
+    // front-end builds only the predictors the configuration trains:
+    // a step is listed exactly when its predictor trains.
+    SyntheticTraceConfig tconfig;
+    tconfig.instructions = 2000;
+    tconfig.seed = 5;
+    const VectorTraceSource trace = generateSynthetic(tconfig);
     for (const char id : MachineConfig::knownConfigs()) {
-        const std::string s = describeLetter(id);
+        const MachineConfig cfg = MachineConfig::paper(id, 8);
+        const std::string s = speculationSummary(cfg);
         EXPECT_FALSE(s.empty()) << id;
-        const std::string summary =
-            spec::moduleStackSummary(MachineConfig::paper(id, 8));
-        EXPECT_FALSE(summary.empty()) << id;
+
+        SpecFrontEnd fe(cfg);
+        FrontEndBatch batch;
+        VectorTraceView view(trace);
+        while (fe.fill(view, batch, 1024) != 0) {
+        }
+        const FrontEndTrainCounts &trains = fe.trainCounts();
+        EXPECT_EQ(trains.address != 0,
+                  s.find("addr-spec") != std::string::npos) << id;
+        EXPECT_EQ(trains.memdep != 0,
+                  s.find("mem-dep(predicted") != std::string::npos)
+            << id;
+        EXPECT_EQ(trains.value != 0,
+                  s.find("value-pred") != std::string::npos) << id;
     }
 }
 
 // ---------------------------------------------------------------------
-// Cache-identity of the new knobs.
+// Cache-identity of the extension configs.
 // ---------------------------------------------------------------------
 
 TEST(SpecModuleFingerprint, NewKnobsFeedTheFingerprint)
@@ -213,24 +228,10 @@ TEST(SpecModuleFingerprint, NewKnobsFeedTheFingerprint)
     EXPECT_NE(d.fingerprint(), g.fingerprint());
     EXPECT_NE(f.fingerprint(), g.fingerprint());
 
-    // Every module knob is cell identity: a tweak must miss the
-    // store (stale entries resimulate rather than resurrect).
-    MachineConfig tweaked = f;
-    tweaked.memDepConfidenceThreshold += 1;
-    EXPECT_NE(f.fingerprint(), tweaked.fingerprint());
-    tweaked = g;
-    tweaked.vpredHistoryLength += 1;
-    EXPECT_NE(g.fingerprint(), tweaked.fingerprint());
-
-    // The squash penalty is back-end-only: still cell identity, but
-    // it must not split batched front-end groups.
-    tweaked = f;
-    tweaked.memSquashPenalty += 4;
-    EXPECT_NE(f.fingerprint(), tweaked.fingerprint());
-    EXPECT_EQ(f.frontEndFingerprint(), tweaked.frontEndFingerprint());
-
-    // D and G share front-end work only if the fingerprints say so:
-    // G's value predictor trains during the pass, so they must not.
+    // D shares front-end work with F or G only if the fingerprints say
+    // so: F's dependence predictor and G's value predictor train
+    // during the pass, so they must not.
+    EXPECT_NE(d.frontEndFingerprint(), f.frontEndFingerprint());
     EXPECT_NE(d.frontEndFingerprint(), g.frontEndFingerprint());
 }
 

@@ -13,16 +13,17 @@
 #include <string>
 
 #include "core/config.hh"
+#include "core/frontend.hh"
 #include "sim/result_store.hh"
-#include "spec/orchestrator.hh"
 #include "support/logging.hh"
 #include "support/version.hh"
 
 namespace ddsc::cli
 {
 
-/** `--list-configs`: every known configuration letter with its active
- *  speculation-module stack and its fingerprint at @p width. */
+/** `--list-configs`: every known configuration letter with the
+ *  speculation steps its front-end runs and its fingerprint at
+ *  @p width. */
 inline void
 printConfigList(unsigned width)
 {
@@ -34,7 +35,7 @@ printConfigList(unsigned width)
         const MachineConfig cfg = MachineConfig::paper(c, width);
         std::printf("  %c  %s\n", c, MachineConfig::letterSummary(c));
         std::printf("     modules    : %s\n",
-                    spec::moduleStackSummary(cfg).c_str());
+                    speculationSummary(cfg).c_str());
         std::printf("     fingerprint: %s\n", cfg.fingerprint().c_str());
     }
 }

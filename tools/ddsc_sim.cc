@@ -29,8 +29,8 @@
  *                     fingerprint and trace digest still match are
  *                     served from disk instead of re-simulated
  *   --list-configs    print every known configuration letter with its
- *                     speculation-module stack and fingerprint at
- *                     --width, exit
+ *                     speculation steps and fingerprint at --width,
+ *                     exit
  *   --version         print format/schema versions and exit
  *
  * A sweep (several configs, or any run with a cache) is one
