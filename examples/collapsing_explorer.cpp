@@ -13,6 +13,7 @@
 
 #include "core/scheduler.hh"
 #include "masm/assembler.hh"
+#include "trace/dep_arcs.hh"
 #include "vm/vm.hh"
 
 namespace
@@ -59,34 +60,11 @@ main()
     vm.run(&sink);
 
     std::printf("\ndynamic dependence graph (producer -> consumer):\n");
-    // Walk the trace and print RAW arcs the same way the scheduler
-    // derives them.
-    std::uint64_t last_writer[kNumRegs] = {};
-    std::uint64_t last_cc = 0;
-    const auto &records = trace.records();
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        const TraceRecord &rec = records[i];
-        auto arc = [&](std::uint64_t from, const char *kind) {
-            if (from != 0) {
-                std::printf("  %llu -> %zu  (%s)\n",
-                            static_cast<unsigned long long>(from - 1), i,
-                            kind);
-            }
-        };
-        for (const int reg : rec.dataSources()) {
-            if (reg >= 0)
-                arc(last_writer[reg], "data");
-        }
-        for (const int reg : rec.addressSources()) {
-            if (reg >= 0)
-                arc(last_writer[reg], "address");
-        }
-        if (rec.readsCC())
-            arc(last_cc, "cc");
-        if (const int dest = rec.destReg(); dest >= 0)
-            last_writer[dest] = i + 1;
-        if (rec.setsCC())
-            last_cc = i + 1;
+    // The RAW arcs the scheduler derives, walked from the trace alone.
+    for (const DepArc &arc : registerArcs(trace.records())) {
+        std::printf("  %zu -> %zu  (%.*s)\n", arc.producer, arc.consumer,
+                    static_cast<int>(depKindName(arc.kind).size()),
+                    depKindName(arc.kind).data());
     }
 
     for (const bool collapsing : {false, true}) {

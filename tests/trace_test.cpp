@@ -7,10 +7,13 @@
 
 #include <cstdio>
 #include <fstream>
+#include <tuple>
+#include <vector>
 #include <gtest/gtest.h>
 
 #include "support/fault.hh"
 #include "test_helpers.hh"
+#include "trace/dep_arcs.hh"
 #include "trace/record.hh"
 #include "trace/source.hh"
 #include "trace/synthetic.hh"
@@ -102,6 +105,36 @@ TEST(Record, RetReadsLink)
     TraceRecord rec = Rec(Opcode::RET);
     const auto data = rec.dataSources();
     EXPECT_EQ(data[0], kRegLink);
+}
+
+TEST(DepArcs, RegisterAndCcArcsInCanonicalOrder)
+{
+    const std::vector<TraceRecord> recs = {
+        alu(Opcode::ADD, 1, 2, 3),      // 0: no producer in the trace
+        alu(Opcode::SUBCC, 4, 1, 1),    // 1: reads r1 twice, sets cc
+        load(5, 4, 0, 0x100),           // 2: address from 1
+        store(5, 1, 0, 0x200),          // 3: data from 2, address from 0
+        branch(Cond::EQ, true),         // 4: cc from 1
+        alu(Opcode::ADD, 1, 5, 0),      // 5: data from 2; r0 is no arc
+        alu(Opcode::ADD, 6, 1, 4),      // 6: r1 from 5 (renamed), r4 from 1
+    };
+    const std::vector<DepArc> arcs = registerArcs(recs);
+    const std::vector<std::tuple<std::size_t, std::size_t, DepKind>>
+        expect = {
+            {0, 1, DepKind::Data},    {0, 1, DepKind::Data},
+            {1, 2, DepKind::Address}, {2, 3, DepKind::Data},
+            {0, 3, DepKind::Address}, {1, 4, DepKind::CC},
+            {2, 5, DepKind::Data},    {5, 6, DepKind::Data},
+            {1, 6, DepKind::Data},
+        };
+    ASSERT_EQ(arcs.size(), expect.size());
+    for (std::size_t i = 0; i < arcs.size(); ++i) {
+        EXPECT_EQ(std::make_tuple(arcs[i].producer, arcs[i].consumer,
+                                  arcs[i].kind),
+                  expect[i])
+            << "arc " << i;
+    }
+    EXPECT_EQ(depKindName(DepKind::Address), "address");
 }
 
 TEST(Record, MemSize)

@@ -23,6 +23,7 @@
 #include "masm/assembler.hh"
 #include "support/decimal.hh"
 #include "support/version.hh"
+#include "trace/dep_arcs.hh"
 #include "vm/vm.hh"
 
 namespace
@@ -39,12 +40,25 @@ usage()
 }
 
 const char *
+edgeStyle(DepKind kind)
+{
+    switch (kind) {
+      case DepKind::Data:    return "solid";
+      case DepKind::Address: return "dashed";
+      case DepKind::CC:      return "dotted";
+    }
+    return "solid";
+}
+
+const char *
 edgeColor(const TraceRecord &producer, const TraceRecord &consumer,
-          bool address_arc, bool cc_arc)
+          DepKind kind)
 {
     const bool collapsible =
         CollapseRules::producerEligible(producer) &&
-        CollapseRules::consumerEligible(consumer, address_arc, cc_arc);
+        CollapseRules::consumerEligible(consumer,
+                                        kind == DepKind::Address,
+                                        kind == DepKind::CC);
     return collapsible ? "forestgreen" : "firebrick";
 }
 
@@ -99,35 +113,12 @@ main(int argc, char **argv)
                     program.text[idx].toString().c_str());
     }
 
-    // Edges: the same derivation the scheduler uses.
-    std::uint64_t last_writer[kNumRegs] = {};
-    std::uint64_t last_cc = 0;
-    for (std::size_t i = 0; i < records.size(); ++i) {
-        const TraceRecord &rec = records[i];
-        auto edge = [&](std::uint64_t from, const char *style,
-                        bool address_arc, bool cc_arc) {
-            if (from == 0)
-                return;
-            std::printf("  n%llu -> n%zu [style=%s, color=%s];\n",
-                        static_cast<unsigned long long>(from - 1), i,
-                        style,
-                        edgeColor(records[from - 1], rec, address_arc,
-                                  cc_arc));
-        };
-        for (const int reg : rec.dataSources()) {
-            if (reg >= 0)
-                edge(last_writer[reg], "solid", false, false);
-        }
-        for (const int reg : rec.addressSources()) {
-            if (reg >= 0)
-                edge(last_writer[reg], "dashed", true, false);
-        }
-        if (rec.readsCC())
-            edge(last_cc, "dotted", false, true);
-        if (const int dest = rec.destReg(); dest >= 0)
-            last_writer[dest] = i + 1;
-        if (rec.setsCC())
-            last_cc = i + 1;
+    // Edges: the register and cc arcs the scheduler derives too.
+    for (const DepArc &arc : registerArcs(records)) {
+        std::printf("  n%zu -> n%zu [style=%s, color=%s];\n",
+                    arc.producer, arc.consumer, edgeStyle(arc.kind),
+                    edgeColor(records[arc.producer],
+                              records[arc.consumer], arc.kind));
     }
     std::printf("}\n");
     return 0;
