@@ -52,11 +52,11 @@ enum class ValuePredKind
 };
 
 /**
- * Fixed parameters of the speculation mechanisms.  No configuration
- * varies them, so they are constants rather than MachineConfig knobs;
- * MachineConfig::fingerprint() still writes each one, so the persisted
- * 28-field layout (kFingerprintSchema 2), every store key and every
- * shard placement stay as they were when they were knobs.
+ * Fixed parameters of the speculation mechanisms: no configuration
+ * varies them.  MachineConfig::fingerprint() still writes each one;
+ * dropping a field would change the persisted 28-field layout
+ * (kFingerprintSchema 2), every store key and shard placement, for no
+ * change in behaviour.
  */
 /** Return-address-stack depth when realCtiPrediction is on. */
 constexpr unsigned kRasDepth = 16;

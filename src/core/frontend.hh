@@ -51,10 +51,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <vector>
-
-#include <string>
 
 #include "addrpred/addrpred.hh"
 #include "bpred/bpred.hh"

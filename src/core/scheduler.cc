@@ -588,8 +588,8 @@ LimitScheduler::scanCycle()
 SchedStats
 LimitScheduler::run(TraceSource &trace)
 {
-    // A one-cell batched pass: a front-end of its own annotates the
-    // trace chunk by chunk and feeds only this back-end.
+    // A one-cell batched pass: a front-end built for this run
+    // annotates the trace chunk by chunk and feeds only this back-end.
     const auto start = std::chrono::steady_clock::now();
     SpecFrontEnd front_end(config_);
     FrontEndBatch batch;
