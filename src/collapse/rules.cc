@@ -176,6 +176,32 @@ appendPackedSignature(std::uint64_t frag, char *out)
     return len;
 }
 
+const CollapseColumnTable &
+CollapseColumnTable::instance()
+{
+    static const CollapseColumnTable table;
+    return table;
+}
+
+CollapseColumnTable::CollapseColumnTable()
+{
+    for (unsigned op = 0; op < kNumOpcodes; ++op) {
+        for (unsigned pattern = 0; pattern < kOperandPatterns; ++pattern) {
+            // Any record with this opcode and pattern will do: the
+            // non-zero register numbers and immediate are arbitrary.
+            TraceRecord rec;
+            rec.op = static_cast<Opcode>(op);
+            rec.rs1 = pattern & 1 ? kRegZero : 1;
+            rec.rs2 = pattern & 2 ? kRegZero : 2;
+            rec.rd = pattern & 4 ? kRegZero : 3;
+            rec.useImm = (pattern & 8) != 0;
+            rec.imm = pattern & 16 ? 0 : 1;
+            entries_[op * kOperandPatterns + pattern] = {
+                ExprSize::of(rec), packInstructionSignature(rec)};
+        }
+    }
+}
+
 std::size_t
 groupSignature(const TraceRecord *const *members, unsigned count,
                char *out)

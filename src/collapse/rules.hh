@@ -181,6 +181,56 @@ std::uint64_t packInstructionSignature(const TraceRecord &rec);
  *  (>= kMaxInstructionSignature bytes) and return the count written. */
 std::size_t appendPackedSignature(std::uint64_t frag, char *out);
 
+/** Number of operand patterns (five bits, see operandPattern()). */
+constexpr unsigned kOperandPatterns = 32;
+
+/**
+ * The five operand bits that, with the opcode, fully determine
+ * ExprSize::of and packInstructionSignature: bit 0 rs1 == r0, bit 1
+ * rs2 == r0, bit 2 rd == r0, bit 3 useImm, bit 4 imm == 0.
+ */
+inline unsigned
+operandPattern(const TraceRecord &rec)
+{
+    return unsigned{rec.rs1 == kRegZero} |
+           unsigned{rec.rs2 == kRegZero} << 1 |
+           unsigned{rec.rd == kRegZero} << 2 |
+           unsigned{rec.useImm} << 3 |
+           unsigned{rec.imm == 0} << 4;
+}
+
+/** A record's two collapse columns. */
+struct CollapseColumns
+{
+    ExprSize expr;              ///< ExprSize::of
+    std::uint64_t sig = 0;      ///< packInstructionSignature
+};
+
+/**
+ * ExprSize::of and packInstructionSignature of every (opcode, operand
+ * pattern), built once from those two definitions, so the front-end
+ * reads a record's collapse columns with one indexed load.
+ */
+class CollapseColumnTable
+{
+  public:
+    /** The process-wide table, built on first use. */
+    static const CollapseColumnTable &instance();
+
+    /** {ExprSize::of(rec), packInstructionSignature(rec)}. */
+    const CollapseColumns &
+    of(const TraceRecord &rec) const
+    {
+        return entries_[static_cast<unsigned>(rec.op) * kOperandPatterns +
+                        operandPattern(rec)];
+    }
+
+  private:
+    CollapseColumnTable();
+
+    CollapseColumns entries_[kNumOpcodes * kOperandPatterns];
+};
+
 /** Allocation-free groupSignature into @p out (>= kMaxGroupSignature
  *  bytes); returns the length. */
 std::size_t groupSignature(const TraceRecord *const *members,

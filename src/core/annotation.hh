@@ -7,87 +7,120 @@
  * Everything in here is *pure program order*: an annotation depends
  * only on the trace prefix, never on window contents, issue timing, or
  * width, so one front-end pass can feed any number of back-end cells.
+ * An annotation has one representation: record i's fields at index i
+ * of a FrontEndBatch's columns.
  */
 
 #ifndef DDSC_CORE_ANNOTATION_HH
 #define DDSC_CORE_ANNOTATION_HH
 
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "collapse/rules.hh"
-#include "support/logging.hh"
+#include "trace/record.hh"
 
 namespace ddsc
 {
 
-/** Width-independent annotation of one dynamic instruction. */
-struct InsertAnnotation
+/** Bits of the per-record flags column (FrontEndBatch::flags). */
+namespace ann
 {
-    /** Flag bits (see kFlag* below). */
-    std::uint16_t flags = 0;
+
+/// This record is a conditional branch (counts toward condBranches).
+constexpr std::uint16_t kFlagCondBranch = 1u << 0;
+/// The branch predictor got it wrong (counts toward mispredicts).
+constexpr std::uint16_t kFlagMispredict = 1u << 1;
+/// A real-CTI prediction was made (counts toward ctiPredictions).
+constexpr std::uint16_t kFlagCtiPrediction = 1u << 2;
+/// ...and it was wrong (counts toward ctiMispredicts).
+constexpr std::uint16_t kFlagCtiMispredict = 1u << 3;
+/// Address-predictor confidence exceeded the threshold.
+constexpr std::uint16_t kFlagPredUsable = 1u << 4;
+/// ...and the predicted address was right.
+constexpr std::uint16_t kFlagPredCorrect = 1u << 5;
+/// Value-predictor confidence held.
+constexpr std::uint16_t kFlagVpredUsable = 1u << 6;
+/// ...and the predicted value was right.
+constexpr std::uint16_t kFlagVpredCorrect = 1u << 7;
+/// elimOldWriter still holds the live cc value: not eliminable.
+constexpr std::uint16_t kFlagElimCcBlocked = 1u << 8;
+/// This load really depends on an earlier store (perfect
+/// disambiguation found one); when set, the memory arc is the *last*
+/// of the record's deps.
+constexpr std::uint16_t kFlagMemDepActual = 1u << 9;
+/// The memory-dependence predictor predicted "dependent".
+constexpr std::uint16_t kFlagMemDepPredicted = 1u << 10;
+/// Predicted dependent with no actual dependence: the last dep is a
+/// conservative arc to the most recent store.
+constexpr std::uint16_t kFlagMemDepFalse = 1u << 11;
+
+} // namespace ann
+
+/** Default records per streamed chunk (FrontEndBatch capacity). */
+constexpr std::size_t kBatchedChunk = 16384;
+
+/**
+ * One structure-of-arrays chunk of annotated records: element i of
+ * every column belongs to records[i] (depSeqs holds four slots per
+ * record).  SpecFrontEnd::fill() sizes the columns on a batch's first
+ * fill (and grows them only for a larger chunk), writes record i's
+ * fields by index, and keeps the columns across fills, so a streaming
+ * pass reuses one chunk buffer; size() is the number of records the
+ * last fill wrote, and the columns may be longer.
+ */
+struct FrontEndBatch
+{
+    std::vector<TraceRecord> records;
+    std::vector<std::uint16_t> flags;       ///< ann::kFlag* bits
+    std::vector<std::uint8_t> depCount;
+    /** Bit d set: depSeqs[4i + d] feeds the address. */
+    std::vector<std::uint8_t> depAddrMask;
     /** RAW producer seqs in canonical arc order (data, address, cc,
-     *  memory); zeros already dropped.  kFlagDepAddr marks address
-     *  arcs. */
-    std::uint8_t depCount = 0;
-    std::uint8_t depAddrMask = 0;   ///< bit i: deps[i] feeds the address
-    std::uint64_t depSeq[4] = {0, 0, 0, 0};
-    /** Last mispredicted branch older than this record (0 = none). */
-    std::uint64_t barrierSeq = 0;
+     *  memory), zeros dropped: record i's are depSeqs[4i] up to
+     *  depSeqs[4i + depCount[i]); the slots past them are stale. */
+    std::vector<std::uint64_t> depSeqs;
+    /** Last mispredicted branch older than the record (0 = none). */
+    std::vector<std::uint64_t> barrierSeq;
     /** Dynamic basic-block id. */
-    std::uint64_t bbId = 0;
-    /** Previous writer of this record's destination register (0 =
-     *  none); the node-elimination candidate this record overwrites. */
-    std::uint64_t elimOldWriter = 0;
+    std::vector<std::uint64_t> bbId;
+    /** Previous writer of the record's destination register (0 =
+     *  none): the node-elimination candidate it overwrites. */
+    std::vector<std::uint64_t> elimOldWriter;
+    /** Collapse-rule detection, written only when the front-end has
+     *  collapse columns enabled (any consumer collapses): the record's
+     *  compound-expression size and its packed signature fragment
+     *  (packInstructionSignature).  Both are pure functions of the
+     *  record, so one front-end pass serves every collapsing
+     *  back-end. */
+    std::vector<ExprSize> expr;
+    std::vector<std::uint64_t> sig;
 
-    /** Collapse-rule detection, computed only when the front-end has
-     *  collapse columns enabled (any consumer collapses): the
-     *  record's compound-expression size and its paper signature
-     *  fragment, packed into one word (packInstructionSignature).
-     *  Both are pure functions of the record, so one front-end pass
-     *  serves every collapsing back-end. */
-    ExprSize expr;
-    std::uint64_t sig = 0;
+    std::size_t size() const { return size_; }
 
-    /// This record is a conditional branch (counts toward condBranches).
-    static constexpr std::uint16_t kFlagCondBranch = 1u << 0;
-    /// The branch predictor got it wrong (counts toward mispredicts).
-    static constexpr std::uint16_t kFlagMispredict = 1u << 1;
-    /// A real-CTI prediction was made (counts toward ctiPredictions).
-    static constexpr std::uint16_t kFlagCtiPrediction = 1u << 2;
-    /// ...and it was wrong (counts toward ctiMispredicts).
-    static constexpr std::uint16_t kFlagCtiMispredict = 1u << 3;
-    /// Address-predictor confidence exceeded the threshold.
-    static constexpr std::uint16_t kFlagPredUsable = 1u << 4;
-    /// ...and the predicted address was right.
-    static constexpr std::uint16_t kFlagPredCorrect = 1u << 5;
-    /// Value-predictor confidence held.
-    static constexpr std::uint16_t kFlagVpredUsable = 1u << 6;
-    /// ...and the predicted value was right.
-    static constexpr std::uint16_t kFlagVpredCorrect = 1u << 7;
-    /// elimOldWriter still holds the live cc value: not eliminable.
-    static constexpr std::uint16_t kFlagElimCcBlocked = 1u << 8;
-    /// This load really depends on an earlier store (perfect
-    /// disambiguation found one); when set, the memory arc is the
-    /// *last* entry of depSeq.
-    static constexpr std::uint16_t kFlagMemDepActual = 1u << 9;
-    /// The memory-dependence predictor predicted "dependent".
-    static constexpr std::uint16_t kFlagMemDepPredicted = 1u << 10;
-    /// Predicted dependent with no actual dependence: the last entry
-    /// of depSeq is a conservative arc to the most recent store.
-    static constexpr std::uint16_t kFlagMemDepFalse = 1u << 11;
+  private:
+    friend class SpecFrontEnd;
 
-    /** Append a RAW producer arc in canonical order (no-op for seq 0,
-     *  matching the back-end's treatment of "no producer"). */
+    /** Grow every column to hold at least @p n records. */
     void
-    addDep(std::uint64_t producer_seq, bool address)
+    sizeColumns(std::size_t n)
     {
-        if (producer_seq == 0)
+        if (records.size() >= n)
             return;
-        ddsc_assert(depCount < 4, "annotation dep overflow");
-        if (address)
-            depAddrMask |= static_cast<std::uint8_t>(1u << depCount);
-        depSeq[depCount++] = producer_seq;
+        records.resize(n);
+        flags.resize(n);
+        depCount.resize(n);
+        depAddrMask.resize(n);
+        depSeqs.resize(4 * n);
+        barrierSeq.resize(n);
+        bbId.resize(n);
+        elimOldWriter.resize(n);
+        expr.resize(n);
+        sig.resize(n);
     }
+
+    std::size_t size_ = 0;
 };
 
 /** How many times each predictor structure was trained (the

@@ -15,6 +15,28 @@ struct SpecFrontEnd::StorePage
     std::array<std::uint64_t, kStorePageBytes> seq;
 };
 
+/** The record's arcs go straight into its depSeqs slots; annotate()
+ *  stores the count and the address mask once the record is done. */
+struct SpecFrontEnd::Deps
+{
+    std::uint64_t *seqs;            ///< &batch.depSeqs[4 * i]
+    std::uint8_t count = 0;
+    std::uint8_t addressMask = 0;   ///< bit d: seqs[d] feeds the address
+
+    /** Append a RAW producer arc in canonical order (no-op for seq 0,
+     *  matching the back-end's treatment of "no producer"). */
+    void
+    add(std::uint64_t producer_seq, bool address)
+    {
+        if (producer_seq == 0)
+            return;
+        ddsc_assert(count < 4, "annotation dep overflow");
+        if (address)
+            addressMask |= static_cast<std::uint8_t>(1u << count);
+        seqs[count++] = producer_seq;
+    }
+};
+
 namespace
 {
 
@@ -23,13 +45,13 @@ namespace
 template <typename ValuePredictor>
 void
 predictValue(ValuePredictor &pred, const TraceRecord &rec,
-             InsertAnnotation &out)
+             std::uint16_t &flags)
 {
     const ValuePrediction vp = pred.predict(rec.pc);
     if (vp.usable) {
-        out.flags |= InsertAnnotation::kFlagVpredUsable;
+        flags |= ann::kFlagVpredUsable;
         if (vp.value == rec.memValue)
-            out.flags |= InsertAnnotation::kFlagVpredCorrect;
+            flags |= ann::kFlagVpredCorrect;
     }
     pred.update(rec.pc, rec.memValue);
 }
@@ -39,6 +61,7 @@ predictValue(ValuePredictor &pred, const TraceRecord &rec,
 SpecFrontEnd::SpecFrontEnd(const MachineConfig &config)
     : realCti_(config.realCtiPrediction),
       collapseColumns_(config.collapsing),
+      collapseTable_(CollapseColumnTable::instance()),
       bpred_(std::make_unique<CombiningPredictor>(config.bpredIndexBits)),
       ras_(kRasDepth)
 {
@@ -146,13 +169,13 @@ SpecFrontEnd::lastStoreTo(const TraceRecord &rec)
 
 void
 SpecFrontEnd::addMemoryArc(const TraceRecord &rec, std::uint64_t seq,
-                           InsertAnnotation &out)
+                           std::uint16_t &flags, Deps &deps)
 {
     const std::uint64_t producer = lastStoreTo(rec);
     if (!memDepPred_) {
         // The paper's model: the memory arc (if any) is the last arc,
         // appended after data/address/cc producers.
-        out.addDep(producer, false);
+        deps.add(producer, false);
         return;
     }
 
@@ -165,42 +188,45 @@ SpecFrontEnd::addMemoryArc(const TraceRecord &rec, std::uint64_t seq,
     ++trains_.memdep;
 
     if (predicted)
-        out.flags |= InsertAnnotation::kFlagMemDepPredicted;
+        flags |= ann::kFlagMemDepPredicted;
     if (producer != 0) {
         // The true arc always travels with the annotation; the back-end
         // enforces it (predicted dependent) or speculates past it and
         // squashes on violation (predicted independent).
-        out.flags |= InsertAnnotation::kFlagMemDepActual;
-        out.addDep(producer, false);
-    } else if (predicted && lastStoreSeq_ != 0 && out.depCount < 4) {
+        flags |= ann::kFlagMemDepActual;
+        deps.add(producer, false);
+    } else if (predicted && lastStoreSeq_ != 0 && deps.count < 4) {
         // Predicted dependent, but no store actually conflicts: charge
         // the classic false-dependence cost by waiting on the youngest
         // store.
-        out.flags |= InsertAnnotation::kFlagMemDepFalse;
-        out.addDep(lastStoreSeq_, false);
+        flags |= ann::kFlagMemDepFalse;
+        deps.add(lastStoreSeq_, false);
     }
 }
 
 void
-SpecFrontEnd::annotate(const TraceRecord &rec, InsertAnnotation &out)
+SpecFrontEnd::annotate(FrontEndBatch &batch, std::size_t i)
 {
+    const TraceRecord &rec = batch.records[i];
     const std::uint64_t seq = nextSeq_++;
-    out = InsertAnnotation{};
+    std::uint16_t flags = 0;
+    Deps deps{&batch.depSeqs[4 * i]};
     if (collapseColumns_) {
-        out.expr = ExprSize::of(rec);
-        out.sig = packInstructionSignature(rec);
+        const CollapseColumns &columns = collapseTable_.of(rec);
+        batch.expr[i] = columns.expr;
+        batch.sig[i] = columns.sig;
     }
-    out.bbId = nextBbId_;
+    batch.bbId[i] = nextBbId_;
     if (isControl(rec.cls()))
         ++nextBbId_;                // this instruction ends its block
 
     // --- control: predict branches, erect barriers -------------------
     if (rec.isCondBranch()) {
-        out.flags |= InsertAnnotation::kFlagCondBranch;
+        flags |= ann::kFlagCondBranch;
         const bool correct = bpred_->predictAndUpdate(rec.pc, rec.taken);
         ++trains_.branch;
         if (!correct) {
-            out.flags |= InsertAnnotation::kFlagMispredict;
+            flags |= ann::kFlagMispredict;
             lastBarrier_ = seq;
         }
     } else if (realCti_) {
@@ -216,26 +242,26 @@ SpecFrontEnd::annotate(const TraceRecord &rec, InsertAnnotation &out)
             // target comes from a register: predict it like an
             // indirect jump.
             ras_.pushCall(rec.pc + 4);
-            out.flags |= InsertAnnotation::kFlagCtiPrediction;
+            flags |= ann::kFlagCtiPrediction;
             if (itb_.predict(rec.pc) != rec.target) {
-                out.flags |= InsertAnnotation::kFlagCtiMispredict;
+                flags |= ann::kFlagCtiMispredict;
                 lastBarrier_ = seq;
             }
             itb_.update(rec.pc, rec.target);
             ++trains_.cti;
             break;
           case OpClass::Ret:
-            out.flags |= InsertAnnotation::kFlagCtiPrediction;
+            flags |= ann::kFlagCtiPrediction;
             if (ras_.popReturn() != rec.target) {
-                out.flags |= InsertAnnotation::kFlagCtiMispredict;
+                flags |= ann::kFlagCtiMispredict;
                 lastBarrier_ = seq;
             }
             ++trains_.cti;
             break;
           case OpClass::IndirectJump:
-            out.flags |= InsertAnnotation::kFlagCtiPrediction;
+            flags |= ann::kFlagCtiPrediction;
             if (itb_.predict(rec.pc) != rec.target) {
-                out.flags |= InsertAnnotation::kFlagCtiMispredict;
+                flags |= ann::kFlagCtiMispredict;
                 lastBarrier_ = seq;
             }
             itb_.update(rec.pc, rec.target);
@@ -248,59 +274,60 @@ SpecFrontEnd::annotate(const TraceRecord &rec, InsertAnnotation &out)
 
     // Younger instructions cannot issue before or during the cycle a
     // mispredicted branch issues.
-    if (lastBarrier_ != 0 && lastBarrier_ != seq)
-        out.barrierSeq = lastBarrier_;
+    batch.barrierSeq[i] = lastBarrier_ != seq ? lastBarrier_ : 0;
 
     // --- RAW producer seqs, in the back-end's canonical arc order:
     // data sources, address sources, condition codes, memory ----------
     for (const int reg : rec.dataSources()) {
         if (reg >= 0)
-            out.addDep(lastRegWriter_[reg], false);
+            deps.add(lastRegWriter_[reg], false);
     }
     for (const int reg : rec.addressSources()) {
         if (reg >= 0)
-            out.addDep(lastRegWriter_[reg], true);
+            deps.add(lastRegWriter_[reg], true);
     }
     if (rec.readsCC())
-        out.addDep(lastCCWriter_, false);
+        deps.add(lastCCWriter_, false);
 
     // --- loads: the memory arc, then address and value prediction,
     // each trained by every load in program order whether or not its
     // prediction is used (the paper's Section 3 discipline) ------------
     if (rec.isLoad()) {
-        addMemoryArc(rec, seq, out);
+        addMemoryArc(rec, seq, flags, deps);
         if (addrPred_) {
             const AddrPrediction pred = addrPred_->predict(rec.pc);
             if (pred.usable) {
-                out.flags |= InsertAnnotation::kFlagPredUsable;
+                flags |= ann::kFlagPredUsable;
                 if (pred.addr == rec.ea)
-                    out.flags |= InsertAnnotation::kFlagPredCorrect;
+                    flags |= ann::kFlagPredCorrect;
             }
             addrPred_->update(rec.pc, rec.ea);
             ++trains_.address;
         }
         if (lastValuePred_) {
-            predictValue(*lastValuePred_, rec, out);
+            predictValue(*lastValuePred_, rec, flags);
             ++trains_.value;
         } else if (fcmStridePred_) {
-            predictValue(*fcmStridePred_, rec, out);
+            predictValue(*fcmStridePred_, rec, flags);
             ++trains_.value;
         }
     }
 
     // --- update producer tables (after reading them) ------------------
     const int dest = rec.destReg();
+    std::uint64_t old_writer = 0;
     if (dest >= 0) {
         // The overwritten previous writer is the node-elimination
         // candidate; whether a live cc value blocks eliminating it is
         // decided *before* this record updates lastCCWriter_ (only
         // setsCC seqs ever land there, so seq equality implies the
         // candidate sets the cc).
-        out.elimOldWriter = lastRegWriter_[dest];
-        if (out.elimOldWriter != 0 && out.elimOldWriter == lastCCWriter_)
-            out.flags |= InsertAnnotation::kFlagElimCcBlocked;
+        old_writer = lastRegWriter_[dest];
+        if (old_writer != 0 && old_writer == lastCCWriter_)
+            flags |= ann::kFlagElimCcBlocked;
         lastRegWriter_[dest] = seq;
     }
+    batch.elimOldWriter[i] = old_writer;
     if (rec.setsCC())
         lastCCWriter_ = seq;
     if (rec.isStore()) {
@@ -317,30 +344,21 @@ SpecFrontEnd::annotate(const TraceRecord &rec, InsertAnnotation &out)
             page->seq[addr & (kStorePageBytes - 1)] = seq;
         }
     }
+    batch.flags[i] = flags;
+    batch.depCount[i] = deps.count;
+    batch.depAddrMask[i] = deps.addressMask;
 }
 
 std::size_t
 SpecFrontEnd::fill(TraceSource &trace, FrontEndBatch &batch,
                    std::size_t max)
 {
-    batch.clear();
-    TraceRecord rec;
-    InsertAnnotation ann;
-    while (batch.size() < max && trace.next(rec)) {
-        annotate(rec, ann);
-        batch.records.push_back(rec);
-        batch.flags.push_back(ann.flags);
-        batch.depCount.push_back(ann.depCount);
-        batch.depAddrMask.push_back(ann.depAddrMask);
-        for (unsigned d = 0; d < 4; ++d)
-            batch.depSeqs.push_back(ann.depSeq[d]);
-        batch.barrierSeq.push_back(ann.barrierSeq);
-        batch.bbId.push_back(ann.bbId);
-        batch.elimOldWriter.push_back(ann.elimOldWriter);
-        batch.expr.push_back(ann.expr);
-        batch.sig.push_back(ann.sig);
-    }
-    return batch.size();
+    batch.sizeColumns(max);
+    std::size_t n = 0;
+    while (n < max && trace.next(batch.records[n]))
+        annotate(batch, n++);
+    batch.size_ = n;
+    return n;
 }
 
 std::string

@@ -21,14 +21,17 @@
  *    blocks eliminating it);
  *  - the four speculation mechanisms, called directly in a fixed
  *    order: the collapse-detection columns (expression size and
- *    signature fragment, pure functions of the record), then each
+ *    signature fragment, read from CollapseColumnTable), then each
  *    load's memory arc (perfect disambiguation, or config F's
  *    predicted one), then address prediction (two-delta by default),
  *    then last-value or FCM/stride value prediction.  Only the
  *    predictors the configuration trains are built.
  *
- * The result is one InsertAnnotation per record.  A width-W back-end
- * combines (record, annotation) with its own window state —
+ * fill() writes each record's annotation straight into the columns of
+ * a FrontEndBatch (core/annotation.hh), the structure-of-arrays chunk
+ * format the streaming pass emits, so N back-ends can replay a chunk
+ * without re-decoding or re-predicting anything.  A width-W back-end
+ * combines record i's columns with its own window state —
  * arc-vs-resolved decisions, collapsing, load classification, issue
  * timing — to reproduce bit-identical SchedStats to the historical
  * monolithic insert() path; tests/batched_equiv_test.cpp is the
@@ -36,10 +39,7 @@
  * matter how many back-ends consume the pass (trainCounts() lets the
  * test suite pin that property).
  *
- * FrontEndBatch is the structure-of-arrays chunk format the streaming
- * pass emits: parallel arrays indexed by record position, so N
- * back-ends can replay a chunk without re-decoding or re-predicting
- * anything.  Configurations whose front-end knobs agree
+ * Configurations whose front-end knobs agree
  * (MachineConfig::frontEndFingerprint()) can share one pass: the
  * paper matrix needs two passes per workload (A/C/E train no load
  * predictors, B/D train the address predictor) to cover all 25 cells.
@@ -53,7 +53,6 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "addrpred/addrpred.hh"
 #include "bpred/bpred.hh"
@@ -69,67 +68,9 @@
 namespace ddsc
 {
 
-/** Default records per streamed chunk (FrontEndBatch capacity). */
-constexpr std::size_t kBatchedChunk = 16384;
-
 /**
- * One structure-of-arrays chunk of annotated records.  Arrays are
- * parallel: records[i] pairs with flags[i], depCount[i],
- * depSeqs[4*i..4*i+3], ...  All vectors keep their capacity across
- * clear() so a streaming pass reuses one chunk buffer.
- */
-struct FrontEndBatch
-{
-    std::vector<TraceRecord> records;
-    std::vector<std::uint16_t> flags;
-    std::vector<std::uint8_t> depCount;
-    std::vector<std::uint8_t> depAddrMask;
-    std::vector<std::uint64_t> depSeqs;     ///< 4 per record
-    std::vector<std::uint64_t> barrierSeq;
-    std::vector<std::uint64_t> bbId;
-    std::vector<std::uint64_t> elimOldWriter;
-    std::vector<ExprSize> expr;
-    std::vector<std::uint64_t> sig;         ///< packed fragment
-
-    std::size_t size() const { return records.size(); }
-
-    void
-    clear()
-    {
-        records.clear();
-        flags.clear();
-        depCount.clear();
-        depAddrMask.clear();
-        depSeqs.clear();
-        barrierSeq.clear();
-        bbId.clear();
-        elimOldWriter.clear();
-        expr.clear();
-        sig.clear();
-    }
-
-    /** Reassemble the annotation of record @p i. */
-    void
-    annotationAt(std::size_t i, InsertAnnotation &out) const
-    {
-        out.flags = flags[i];
-        out.depCount = depCount[i];
-        out.depAddrMask = depAddrMask[i];
-        // Only the used prefix: consumers never read depSeq past
-        // depCount.
-        for (unsigned d = 0; d < out.depCount; ++d)
-            out.depSeq[d] = depSeqs[4 * i + d];
-        out.barrierSeq = barrierSeq[i];
-        out.bbId = bbId[i];
-        out.elimOldWriter = elimOldWriter[i];
-        out.expr = expr[i];
-        out.sig = sig[i];
-    }
-};
-
-/**
- * The streaming speculative front-end.  annotate() consumes records
- * in program order; reset() restarts for a new run.  One instance may
+ * The streaming speculative front-end.  fill() consumes records in
+ * program order; reset() restarts for a new run.  One instance may
  * feed any number of back-ends — it never sees them.
  */
 class SpecFrontEnd
@@ -149,12 +90,9 @@ class SpecFrontEnd
      *  enables them when any consumer in its group does. */
     void setCollapseColumns(bool on) { collapseColumns_ = on; }
 
-    /** Annotate the next record in program order. */
-    void annotate(const TraceRecord &rec, InsertAnnotation &out);
-
-    /** Annotate up to @p max records from @p trace into @p batch
-     *  (cleared first).  Returns the number produced; 0 means the
-     *  source is exhausted. */
+    /** Annotate up to @p max records from @p trace into @p batch,
+     *  replacing its contents.  Returns the number produced; 0 means
+     *  the source is exhausted. */
     std::size_t fill(TraceSource &trace, FrontEndBatch &batch,
                      std::size_t max);
 
@@ -168,16 +106,23 @@ class SpecFrontEnd
     struct StorePage;
     StorePage *storePage(std::uint64_t base, bool create);
 
+    /** The dependence columns of the record being annotated. */
+    struct Deps;
+    /** Annotate batch.records[i], the next record in program order,
+     *  into element i of @p batch's columns. */
+    void annotate(FrontEndBatch &batch, std::size_t i);
+
     /** The most recent store that wrote one of @p rec's bytes (0 =
      *  none): perfect disambiguation. */
     std::uint64_t lastStoreTo(const TraceRecord &rec);
     /** The load's memory arc and, in config F, its predicted-
      *  dependence flags (trains the dependence predictor). */
     void addMemoryArc(const TraceRecord &rec, std::uint64_t seq,
-                      InsertAnnotation &out);
+                      std::uint16_t &flags, Deps &deps);
 
     bool realCti_;              ///< realCtiPrediction
     bool collapseColumns_;      ///< annotate expr and sig
+    const CollapseColumnTable &collapseTable_;
 
     std::unique_ptr<BranchPredictor> bpred_;
     ReturnAddressStack ras_;

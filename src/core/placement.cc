@@ -107,7 +107,6 @@ PlacementEngine::freeCycle(std::uint64_t from)
 void
 PlacementEngine::place(const FrontEndBatch &batch, std::size_t i)
 {
-    using Ann = InsertAnnotation;
     const TraceRecord &rec = batch.records[i];
     const std::uint16_t flags = batch.flags[i];
     const std::uint64_t seq = nextSeq_++;
@@ -123,8 +122,8 @@ PlacementEngine::place(const FrontEndBatch &batch, std::size_t i)
     unsigned num_deps = batch.depCount[i];
     std::uint64_t store_value = 0;
     if (config_.memDep == MemDepMode::Predicted &&
-        (flags & Ann::kFlagMemDepActual) &&
-        !(flags & Ann::kFlagMemDepPredicted)) {
+        (flags & ann::kFlagMemDepActual) &&
+        !(flags & ann::kFlagMemDepPredicted)) {
         --num_deps;
         if (const Placed *store = find(deps[num_deps]))
             store_value = store->value;
@@ -174,14 +173,14 @@ PlacementEngine::place(const FrontEndBatch &batch, std::size_t i)
             if (t_addr <= t_rest) {
                 load_class = LoadClass::Ready;
             } else if (config_.loadSpec == LoadSpecMode::Ideal ||
-                       ((flags & Ann::kFlagPredUsable) &&
-                        (flags & Ann::kFlagPredCorrect))) {
+                       ((flags & ann::kFlagPredUsable) &&
+                        (flags & ann::kFlagPredCorrect))) {
                 load_class = LoadClass::PredictedCorrect;
                 value = t_rest + latency;
                 // A speculative access that reads memory before the
                 // store it was speculated past writes it cannot stand.
                 spec_value = store_value <= t_rest;
-            } else if (flags & Ann::kFlagPredUsable) {
+            } else if (flags & ann::kFlagPredUsable) {
                 load_class = LoadClass::PredictedIncorrect;
             } else {
                 load_class = LoadClass::NotPredicted;
@@ -189,8 +188,8 @@ PlacementEngine::place(const FrontEndBatch &batch, std::size_t i)
             // A correct value prediction verifies against post-store
             // memory, so it stands regardless of store timing.
             if (config_.loadValuePrediction &&
-                (flags & Ann::kFlagVpredUsable)) {
-                if (flags & Ann::kFlagVpredCorrect) {
+                (flags & ann::kFlagVpredUsable)) {
+                if (flags & ann::kFlagVpredCorrect) {
                     if (!spec_value || t_rest + 1 < value) {
                         value = t_rest + 1;
                         spec_value = true;

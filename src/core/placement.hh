@@ -20,9 +20,9 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/annotation.hh"
 #include "core/collapse_step.hh"
 #include "core/config.hh"
-#include "core/frontend.hh"
 #include "core/sched_stats.hh"
 
 namespace ddsc

@@ -69,21 +69,20 @@ digestSchedStats(const SchedStats &s)
 void
 countAnnotation(SchedStats &s, std::uint16_t flags)
 {
-    using Ann = InsertAnnotation;
     ++s.instructions;
-    if (flags & Ann::kFlagCondBranch) {
+    if (flags & ann::kFlagCondBranch) {
         ++s.condBranches;
-        if (flags & Ann::kFlagMispredict)
+        if (flags & ann::kFlagMispredict)
             ++s.mispredicts;
     }
-    if (flags & Ann::kFlagCtiPrediction) {
+    if (flags & ann::kFlagCtiPrediction) {
         ++s.ctiPredictions;
-        if (flags & Ann::kFlagCtiMispredict)
+        if (flags & ann::kFlagCtiMispredict)
             ++s.ctiMispredicts;
     }
-    if (flags & Ann::kFlagMemDepPredicted)
+    if (flags & ann::kFlagMemDepPredicted)
         ++s.memDepPredictedDeps;
-    if (flags & Ann::kFlagMemDepFalse)
+    if (flags & ann::kFlagMemDepFalse)
         ++s.memDepFalseDeps;
 }
 

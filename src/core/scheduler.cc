@@ -193,10 +193,11 @@ LimitScheduler::addArc(Entry &entry, std::uint64_t producer_seq,
 }
 
 void
-LimitScheduler::insertAnnotated(const TraceRecord &rec,
-                                const InsertAnnotation &ann)
+LimitScheduler::insertAnnotated(const FrontEndBatch &batch, std::size_t i)
 {
     pollCancel();
+    const TraceRecord &rec = batch.records[i];
+    const std::uint16_t flags = batch.flags[i];
     const std::uint64_t seq = nextSeq_++;
     Entry *slot = &slots_[seq & slotMask_];
     if (slot->live) {
@@ -225,59 +226,61 @@ LimitScheduler::insertAnnotated(const TraceRecord &rec,
     entry.live = true;
     ++windowCount_;
     entry.fixedReady = cycle_;      // issuable from the insertion cycle
-    entry.collapse.reset(seq, rec, ann.bbId, ann.expr, ann.sig);
+    entry.collapse.reset(seq, rec, batch.bbId[i], batch.expr[i],
+                         batch.sig[i]);
     entry.isLoad = rec.isLoad();
-    countAnnotation(stats_, ann.flags);
+    countAnnotation(stats_, flags);
 
     // Younger instructions cannot issue before or during the cycle a
     // mispredicted branch issues.
-    entry.barrierSeq = ann.barrierSeq;
+    entry.barrierSeq = batch.barrierSeq[i];
 
     // --- RAW arcs (register, cc, memory — annotated in order) --------
-    unsigned num_deps = ann.depCount;
+    const std::uint64_t *deps = &batch.depSeqs[4 * i];
+    const std::uint8_t address_mask = batch.depAddrMask[i];
+    unsigned num_deps = batch.depCount[i];
     if (config_.memDep == MemDepMode::Predicted &&
-        (ann.flags & InsertAnnotation::kFlagMemDepActual) &&
-        !(ann.flags & InsertAnnotation::kFlagMemDepPredicted)) {
+        (flags & ann::kFlagMemDepActual) &&
+        !(flags & ann::kFlagMemDepPredicted)) {
         // Speculated independent: the true producing store (always the
         // last annotated dep) travels out-of-band instead of as an
         // arc, so readiness and classification ignore it; the issue
         // stage detects the violation, restores the arc, and charges
         // the squash at the re-issue (divertViolatedLoad).
-        entry.memSpecSeq = ann.depSeq[num_deps - 1];
+        entry.memSpecSeq = deps[num_deps - 1];
         --num_deps;
     }
-    for (unsigned i = 0; i < num_deps; ++i)
-        addArc(entry, ann.depSeq[i], (ann.depAddrMask >> i) & 1);
+    for (unsigned d = 0; d < num_deps; ++d)
+        addArc(entry, deps[d], (address_mask >> d) & 1);
 
     // --- d-collapsing --------------------------------------------------
     if (config_.collapsing) {
         CollapseNode *producers[4];
-        std::uint8_t address_mask = 0;
-        for (unsigned i = 0; i < entry.numArcs; ++i) {
-            Entry *producer = findWindow(entry.arcs[i].producerSeq);
-            producers[i] = producer ? &producer->collapse : nullptr;
-            address_mask |= static_cast<std::uint8_t>(
-                entry.arcs[i].address << i);
+        std::uint8_t arc_address_mask = 0;
+        for (unsigned a = 0; a < entry.numArcs; ++a) {
+            Entry *producer = findWindow(entry.arcs[a].producerSeq);
+            producers[a] = producer ? &producer->collapse : nullptr;
+            arc_address_mask |= static_cast<std::uint8_t>(
+                entry.arcs[a].address << a);
         }
         const unsigned collapsed =
             collapseArcs(config_.rules, rec, entry.collapse, producers,
-                         address_mask, entry.numArcs, tally_);
-        for (unsigned i = 0; i < entry.numArcs; ++i)
-            entry.arcs[i].collapsed = (collapsed >> i) & 1;
+                         arc_address_mask, entry.numArcs, tally_);
+        for (unsigned a = 0; a < entry.numArcs; ++a)
+            entry.arcs[a].collapsed = (collapsed >> a) & 1;
     }
 
     // --- load-speculation outcomes (tables trained up front) ---------
-    entry.predUsable = ann.flags & InsertAnnotation::kFlagPredUsable;
-    entry.predCorrect = ann.flags & InsertAnnotation::kFlagPredCorrect;
-    entry.vpredUsable = ann.flags & InsertAnnotation::kFlagVpredUsable;
-    entry.vpredCorrect = ann.flags & InsertAnnotation::kFlagVpredCorrect;
+    entry.predUsable = flags & ann::kFlagPredUsable;
+    entry.predCorrect = flags & ann::kFlagPredCorrect;
+    entry.vpredUsable = flags & ann::kFlagVpredUsable;
+    entry.vpredCorrect = flags & ann::kFlagVpredCorrect;
 
     // --- node elimination bookkeeping ---------------------------------
     if (config_.nodeElimination) {
         noteValueReaders(entry);
-        maybeEliminate(
-            ann.elimOldWriter,
-            ann.flags & InsertAnnotation::kFlagElimCcBlocked);
+        maybeEliminate(batch.elimOldWriter[i],
+                       flags & ann::kFlagElimCcBlocked);
     }
 
     if (entry.isLoad && config_.loadSpec == LoadSpecMode::None &&
@@ -624,16 +627,13 @@ LimitScheduler::feedBatched(const FrontEndBatch &batch)
         }
         return;
     }
-    InsertAnnotation ann;
     std::size_t pos = 0;
     for (;;) {
         // Refill ("kept full"); once this chunk can no longer top the
         // window up, stop advancing cycles and wait for the next chunk
         // (or finishBatched(), which drains without refill).
-        while (windowCount_ < config_.windowSize && pos < batch.size()) {
-            batch.annotationAt(pos, ann);
-            insertAnnotated(batch.records[pos++], ann);
-        }
+        while (windowCount_ < config_.windowSize && pos < batch.size())
+            insertAnnotated(batch, pos++);
         if (windowCount_ < config_.windowSize)
             return;
         scanCycle();

@@ -153,10 +153,9 @@ class LimitScheduler
      *  first use. */
     void resetScan();
 
-    /** Build a window entry from a record plus its front-end
-     *  annotation. */
-    void insertAnnotated(const TraceRecord &rec,
-                         const InsertAnnotation &ann);
+    /** Build a window entry from batch.records[i] and its annotation
+     *  columns. */
+    void insertAnnotated(const FrontEndBatch &batch, std::size_t i);
     void addArc(Entry &entry, std::uint64_t producer_seq, bool address);
 
     bool arcSatisfied(const DepArc &arc, std::uint64_t cycle) const;

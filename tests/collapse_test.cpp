@@ -27,6 +27,41 @@ using test::branch;
 using test::load;
 using test::store;
 
+/** Every opcode in each of the kOperandPatterns operand patterns, each
+ *  pattern spelled four times with random non-zero registers and
+ *  immediates: the column table was built from one spelling, so equal
+ *  columns across spellings show that the pattern determines them. */
+std::vector<TraceRecord>
+everyOperandPattern()
+{
+    Rng rng(27);
+    const auto reg = [&rng](bool zero) {
+        return zero ? kRegZero
+                    : static_cast<std::uint8_t>(1 + rng.below(31));
+    };
+    std::vector<TraceRecord> out;
+    for (unsigned op = 0; op < kNumOpcodes; ++op) {
+        for (unsigned pattern = 0; pattern < kOperandPatterns; ++pattern) {
+            for (unsigned spelling = 0; spelling < 4; ++spelling) {
+                TraceRecord rec;
+                rec.op = static_cast<Opcode>(op);
+                rec.rs1 = reg(pattern & 1);
+                rec.rs2 = reg(pattern & 2);
+                rec.rd = reg(pattern & 4);
+                rec.useImm = (pattern & 8) != 0;
+                const auto magnitude =
+                    static_cast<std::int32_t>(1 + rng.below(1u << 19));
+                rec.imm = pattern & 16 ? 0
+                                       : rng.below(2) ? magnitude
+                                                      : -magnitude;
+                EXPECT_EQ(operandPattern(rec), pattern);
+                out.push_back(rec);
+            }
+        }
+    }
+    return out;
+}
+
 TEST(ExprSize, SingleInstructions)
 {
     const ExprSize add = ExprSize::of(alu(Opcode::ADD, 3, 1, 2));
@@ -48,6 +83,19 @@ TEST(ExprSize, SingleInstructions)
     const ExprSize br = ExprSize::of(branch(Cond::EQ, true));
     EXPECT_EQ(br.rawOperands, 1u);
     EXPECT_EQ(br.nonZeroOperands, 1u);
+
+    // The front-end reads the same sizes from CollapseColumnTable.
+    const CollapseColumnTable &table = CollapseColumnTable::instance();
+    for (const TraceRecord &rec : everyOperandPattern()) {
+        const ExprSize want = ExprSize::of(rec);
+        const ExprSize got = table.of(rec).expr;
+        EXPECT_EQ(got.rawOperands, want.rawOperands)
+            << opTraits(rec.op).mnemonic << " " << operandPattern(rec);
+        EXPECT_EQ(got.nonZeroOperands, want.nonZeroOperands)
+            << opTraits(rec.op).mnemonic << " " << operandPattern(rec);
+        EXPECT_EQ(got.instructions, want.instructions)
+            << opTraits(rec.op).mnemonic << " " << operandPattern(rec);
+    }
 }
 
 TEST(ExprSize, SubstituteSingleSlot)
@@ -267,6 +315,12 @@ TEST(Signature, PackedFragments)
                                                      out)),
               "abcdefg");
     EXPECT_EQ(appendPackedSignature(packed(""), out), 0u);
+
+    // The front-end reads the same fragments from CollapseColumnTable.
+    const CollapseColumnTable &table = CollapseColumnTable::instance();
+    for (const TraceRecord &rec : everyOperandPattern())
+        EXPECT_EQ(table.of(rec).sig, packInstructionSignature(rec))
+            << opTraits(rec.op).mnemonic << " " << operandPattern(rec);
 }
 
 /** Feed @p n seeded random events, built from @p frags, both to
