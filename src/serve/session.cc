@@ -1,6 +1,8 @@
 #include "session.hh"
 
 #include <chrono>
+#include <optional>
+#include <string>
 
 #include "serve/server.hh"
 #include "sim/matrix_query.hh"
@@ -35,6 +37,13 @@ struct AdmitGuard
     }
 };
 
+/** A request that ends in a typed error frame instead of a reply. */
+struct Failure
+{
+    net::ErrCode code;
+    std::string message;
+};
+
 } // anonymous namespace
 
 Session::Session(Server &server, Connection &conn)
@@ -67,43 +76,54 @@ Session::serve(const std::vector<ExperimentCell> &cells,
     if (!ticket.admitted)
         return conn_.sendError(net::ErrCode::Overloaded, ticket.reason,
                                ticket.retryAfterMs);
-    AdmitGuard guard{server_.admission(), conn_.id, ticket};
 
-    // The client's deadline becomes a live deadline token; with no
-    // deadline the token still exists so the watchdog's cancel rung
-    // can reach the request's claimed flights.
-    const support::CancelToken token =
-        deadline_ms > 0 ? support::CancelToken::withDeadline(deadline_ms)
-                        : support::CancelToken::make();
-    ResolveOutcome outcome;
-    try {
-        outcome = resolve(token);
-    } catch (const CellCancelled &e) {
-        // This request's own claimed simulation was cancelled — its
-        // deadline, or the watchdog reclaiming a stalled flight.  Not
-        // retryable on the same budget (it would just cancel again)
-        // and nothing is quarantined: the cell re-runs cleanly for
-        // the next request.
-        return conn_.sendError(net::ErrCode::Cancelled, e.what());
-    } catch (const CellStalled &e) {
-        // The watchdog marked a cell this request waited on: typed
-        // and retryable — the stuck owner may yet finish and cache
-        // it, or the retry recomputes it after the quarantine path
-        // settles.
-        return conn_.sendError(net::ErrCode::Stalled, e.what());
-    } catch (const std::exception &e) {
-        return conn_.sendError(net::ErrCode::Internal, e.what());
-    }
-    if (outcome.deadlineExpired)
-        return conn_.sendError(
-            net::ErrCode::Deadline,
-            "deadline of " + std::to_string(deadline_ms) +
-                " ms expired before every cell resolved (the cells "
-                "keep computing and will be cached)");
+    // The request holds its slot while its reply payload or error is
+    // computed, and gives it back before any frame is written: a
+    // client that holds its reply may send its next request at once,
+    // and must not be shed by the request that was just answered.
     std::string payload;
-    if (!encode(outcome, payload))
-        return conn_.sendError(net::ErrCode::Internal,
-                               "sweep did not resolve every cell");
+    const std::optional<Failure> failure = [&]() -> std::optional<Failure> {
+        AdmitGuard guard{server_.admission(), conn_.id, ticket};
+
+        // The client's deadline becomes a live deadline token; with no
+        // deadline the token still exists so the watchdog's cancel
+        // rung can reach the request's claimed flights.
+        const support::CancelToken token =
+            deadline_ms > 0
+                ? support::CancelToken::withDeadline(deadline_ms)
+                : support::CancelToken::make();
+        ResolveOutcome outcome;
+        try {
+            outcome = resolve(token);
+        } catch (const CellCancelled &e) {
+            // This request's own claimed simulation was cancelled —
+            // its deadline, or the watchdog reclaiming a stalled
+            // flight.  Not retryable on the same budget (it would just
+            // cancel again) and nothing is quarantined: the cell
+            // re-runs cleanly for the next request.
+            return Failure{net::ErrCode::Cancelled, e.what()};
+        } catch (const CellStalled &e) {
+            // The watchdog marked a cell this request waited on: typed
+            // and retryable — the stuck owner may yet finish and cache
+            // it, or the retry recomputes it after the quarantine path
+            // settles.
+            return Failure{net::ErrCode::Stalled, e.what()};
+        } catch (const std::exception &e) {
+            return Failure{net::ErrCode::Internal, e.what()};
+        }
+        if (outcome.deadlineExpired)
+            return Failure{
+                net::ErrCode::Deadline,
+                "deadline of " + std::to_string(deadline_ms) +
+                    " ms expired before every cell resolved (the cells "
+                    "keep computing and will be cached)"};
+        if (!encode(outcome, payload))
+            return Failure{net::ErrCode::Internal,
+                           "sweep did not resolve every cell"};
+        return std::nullopt;
+    }();
+    if (failure)
+        return conn_.sendError(failure->code, failure->message);
 
     if (support::faultShouldFire("net-disconnect")) {
         // Mid-response hang-up: the reply is computed but never

@@ -339,9 +339,14 @@ TEST(Serve, BrownoutServesCachedWhileFreshSimulationSheds)
     MatrixQuery occupier = smallQuery();
     occupier.configs = "E";
     std::thread holder([&]() {
-        net::Client client(fx.port());
-        const MatrixResult result = client.matrix(occupier);
-        EXPECT_FALSE(result.interrupted);
+        // An exception escaping the thread would abort the binary.
+        try {
+            net::Client client(fx.port());
+            const MatrixResult result = client.matrix(occupier);
+            EXPECT_FALSE(result.interrupted);
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << "occupier request failed: " << e.what();
+        }
     });
     std::this_thread::sleep_for(std::chrono::milliseconds(120));
 
